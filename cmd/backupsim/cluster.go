@@ -289,7 +289,7 @@ func runClusterBench(path string, n, size int, seed int64) error {
 	cfg := simConfig()
 	cfg.Shards = 1
 	cfg.BatchSize = batchSize
-	cfg.Shredder.Chunking = spec // single-node raw sessions chunk with the same spec
+	cfg.Chunking = spec // single-node raw sessions chunk with the same spec
 
 	im := workload.NewImage(seed, size, 64<<10, prob)
 	series := []struct {

@@ -376,7 +376,7 @@ func negotiateSession(c *ingest.Session, spec *chunk.Spec, dedupWire bool) error
 	if spec != nil {
 		propose = *spec
 	} else {
-		propose = ingest.DefaultConfig().Shredder.Chunking
+		propose = ingest.DefaultConfig().Chunking
 	}
 	var accepted chunk.Spec
 	var err error
@@ -661,7 +661,7 @@ func runWireBench(path string, size int, seed int64) error {
 			c := dialInProcess(srv)
 			dedupWire := mode == "dedup"
 			if dedupWire {
-				if _, err := c.NegotiateDedup(ingest.DefaultConfig().Shredder.Chunking); err != nil {
+				if _, err := c.NegotiateDedup(ingest.DefaultConfig().Chunking); err != nil {
 					c.Close()
 					return err
 				}
@@ -824,7 +824,7 @@ func runRetention(cfg retentionConfig) (*runSummary, error) {
 	}
 	c := dialInProcess(srv)
 	defer c.Close()
-	if _, err := c.NegotiateDedup(ingest.DefaultConfig().Shredder.Chunking); err != nil {
+	if _, err := c.NegotiateDedup(ingest.DefaultConfig().Chunking); err != nil {
 		return nil, err
 	}
 	sum := &runSummary{Mode: "retention"}

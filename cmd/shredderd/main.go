@@ -1,7 +1,7 @@
 // Command shredderd is the Shredder ingest daemon: a consolidated
 // chunk-and-dedup service (§7's cloud-backup server, made concurrent).
 // Clients stream raw data over TCP; the daemon chunks each stream with
-// the Shredder pipeline, dedups it in batches against a sharded
+// a content-defined chunking engine, dedups it in batches against a sharded
 // fingerprint index shared by every session, and reports per-stream
 // dedup statistics. cmd/backupsim -server is a ready-made client.
 //
@@ -37,12 +37,13 @@
 // -trace-slow D retains any operation at or over D and logs its tree.
 //
 // Hot-path tuning: -parallel-chunk N cuts server-side (raw-path)
-// streams on N cores with byte-identical boundaries (chunk.Parallel);
+// streams on N cores with byte-identical boundaries (chunk.Parallel;
+// by default Rabin streams use every core and FastCDC streams one);
 // -commit-window D batches concurrent sessions' WAL fsyncs under
 // -fsync always into one group commit per window, every session still
 // acked only after the fsync covering its records really returned.
 //
-//	shredderd [-addr :9323] [-admin :7071] [-shards N] [-batch N] [-buffer MiB]
+//	shredderd [-addr :9323] [-admin :7071] [-shards N] [-batch N]
 //	          [-chunker rabin|fastcdc] [-avg KiB] [-minchunk KiB] [-maxchunk KiB]
 //	          [-dedup-wire=true|false] [-parallel-chunk N]
 //	          [-data DIR] [-fsync always|never|interval[=D]] [-commit-window D]
@@ -78,13 +79,12 @@ func main() {
 	admin := flag.String("admin", ":7071", "admin HTTP address for /metrics, /healthz, /readyz, /statusz and pprof (empty: disabled)")
 	shards := flag.Int("shards", 16, "store shard count (power of two)")
 	batch := flag.Int("batch", 64, "chunks per has/put batch")
-	buffer := flag.Int("buffer", 4, "per-session pipeline buffer in MiB")
 	chunkerName := flag.String("chunker", "rabin", "default chunking engine for sessions that skip negotiation: rabin or fastcdc")
 	avgKiB := flag.Int("avg", 4, "target average chunk size in KiB (power of two)")
 	minKiB := flag.Int("minchunk", 0, "minimum chunk size in KiB (0: engine default)")
 	maxKiB := flag.Int("maxchunk", 0, "maximum chunk size in KiB (0: engine default)")
 	dedupWire := flag.Bool("dedup-wire", true, "accept protocol v3+ two-phase dedup sessions (client-side chunking, only missing bodies cross the wire); false caps the protocol at v2")
-	parallelChunk := flag.Int("parallel-chunk", 0, "chunk server-side streams on this many cores (byte-identical output; -1: all cores, 0/1: sequential)")
+	parallelChunk := flag.Int("parallel-chunk", 0, "chunk server-side streams on this many cores (byte-identical output; -1: all cores; 0/1: Rabin on all cores, FastCDC sequential)")
 	data := flag.String("data", "", "data directory for durable storage (empty: in-memory only)")
 	fsyncFlag := flag.String("fsync", "interval", "fsync policy with -data: always, never, interval[=D], or a duration")
 	commitWindow := flag.Duration("commit-window", 2*time.Millisecond, "group-commit window with -fsync always: batch concurrent sessions' WAL appends into one fsync per window (0: fsync per commit)")
@@ -121,7 +121,6 @@ func main() {
 	cfg := ingest.DefaultConfig()
 	cfg.Shards = *shards
 	cfg.BatchSize = *batch
-	cfg.Shredder.BufferSize = *buffer << 20
 	cfg.Obs = reg
 	cfg.Logger = logger
 	cfg.Tracer = tracer
@@ -140,12 +139,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		cfg.Shredder.Chunking = spec
+		cfg.Chunking = spec
 	}
 	if !*dedupWire {
 		cfg.MaxProtocol = 2
 	}
-	cfg.Shredder.HostWorkers = *parallelChunk
+	cfg.ChunkWorkers = *parallelChunk
 
 	var store *shardstore.Store
 	if *data != "" {
@@ -308,8 +307,7 @@ func main() {
 	}
 
 	logger.Info("listening", "addr", l.Addr().String(), "shards", *shards,
-		"batch", *batch, "buffer_mib", *buffer,
-		"engine", cfg.Shredder.Chunking.Algo.String())
+		"batch", *batch, "engine", cfg.Chunking.Algo.String())
 	if err := srv.Serve(l); err != nil && !errors.Is(err, net.ErrClosed) {
 		fatal(err)
 	}

@@ -12,14 +12,16 @@
 //     Engine interface with whole-buffer Split and an incremental
 //     streaming feed, a Rabin adapter over internal/chunker, and a
 //     FastCDC engine (gear hashing, normalized chunking); engines are
-//     differentially tested for Split/stream agreement
+//     differentially tested for Split/stream agreement and pinned by
+//     golden cut-point vectors. chunk.Parallel chunks one stream on
+//     many cores (region scans with window warmup, seam fixup,
+//     byte-identical output — the paper's multicore baseline, lifted
+//     onto the engine API)
 //   - internal/gpu, internal/pcie, internal/hostmem, internal/host,
 //     internal/sim — the simulated device/host substrate (this machine
 //     has no GPU; see DESIGN.md for the substitution argument)
-//   - internal/core — the Shredder pipeline itself; with HostWorkers
-//     set it chunks on many cores via chunk.Parallel (region scans
-//     with window warmup, seam fixup, byte-identical output — the
-//     paper's multicore baseline, lifted onto the engine API)
+//   - internal/core — the Shredder pipeline itself, the object the
+//     paper's experiments measure
 //   - internal/dedup — the single-goroutine reference dedup store
 //   - internal/shardstore — the sharded, lock-striped, concurrency-safe
 //     chunk store (byte-identical ingest semantics to internal/dedup,
@@ -43,8 +45,8 @@
 //     negotiation of protocol version and chunking engine
 //     (Hello/Accept frames carrying a chunk.Spec; non-negotiating
 //     legacy clients keep the Rabin defaults byte-for-byte), typed
-//     protocol errors, a server that chunks raw client streams with
-//     the core pipeline and dedups them in batches against one shared
+//     protocol errors, a server that chunks raw client streams with a
+//     chunk.Engine and dedups them in batches against one shared
 //     shardstore, and the matching client Session. Protocol version 3
 //     adds two-phase content-addressed ingest — the client chunks
 //     locally, ships HasBatch fingerprint frames, and uploads only

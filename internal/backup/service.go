@@ -27,9 +27,7 @@ func NewService(cfg Config, shards int) (*Service, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sc := cfg.Shredder
-	sc.Chunking = chunk.RabinSpec(cfg.Chunking)
-	srv, err := ingest.NewServer(ingest.Config{Shards: shards, Shredder: sc})
+	srv, err := ingest.NewServer(ingest.Config{Shards: shards, Chunking: chunk.RabinSpec(cfg.Chunking)})
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +61,7 @@ func (s *Service) Dial() *ingest.Session {
 // link.
 func (s *Service) DialDedup() (*ingest.Session, error) {
 	c := s.Dial()
-	if _, err := c.NegotiateDedup(s.srv.Config().Shredder.Chunking); err != nil {
+	if _, err := c.NegotiateDedup(s.srv.Config().Chunking); err != nil {
 		c.Close()
 		return nil, err
 	}

@@ -16,7 +16,6 @@ import (
 
 func nodeConfig() ingest.Config {
 	cfg := ingest.DefaultConfig()
-	cfg.Shredder.BufferSize = 1 << 20
 	cfg.BatchSize = 32
 	return cfg
 }

@@ -111,14 +111,6 @@ type Config struct {
 	// for engines the GPU cannot offload (FastCDC). 0 means 2 GB/s,
 	// roughly one core's gear-hash throughput.
 	HostChunkBps float64
-	// HostWorkers, when > 1, wraps the engine in the parallel host
-	// chunker (chunk.Parallel): large streams are cut on up to that
-	// many cores, byte-identical to the sequential engine. The
-	// parallel engine always runs on the host, so for AlgoRabin it
-	// replaces the modeled GPU offload (the paper's multicore CPU
-	// configuration rather than the GPU pipeline). 0 or 1 means
-	// sequential; negative means all cores.
-	HostWorkers int
 	// Kernel configures the device and its chunking kernel.
 	Kernel gpu.KernelConfig
 	// PCIe models the host/device link.
@@ -250,9 +242,6 @@ func New(cfg Config) (*Shredder, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.HostWorkers > 1 || cfg.HostWorkers < 0 {
-		eng = chunk.NewParallel(eng, cfg.HostWorkers)
-	}
 	s := &Shredder{cfg: cfg, eng: eng}
 	if rb, ok := eng.(*chunk.Rabin); ok {
 		s.chk = rb.Chunker()
@@ -290,9 +279,6 @@ func New(cfg Config) (*Shredder, error) {
 
 // Config returns the configuration the Shredder was built with.
 func (s *Shredder) Config() Config { return s.cfg }
-
-// Engine exposes the chunking engine the pipeline cuts with.
-func (s *Shredder) Engine() chunk.Engine { return s.eng }
 
 // Chunker exposes the underlying sequential Rabin chunker (shared
 // parameters and fingerprint tables). It is nil for engines the GPU

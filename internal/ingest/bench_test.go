@@ -49,21 +49,28 @@ func BenchmarkIngestThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestSingleStream is the uncontended baseline: one session,
-// one stream at a time.
+// BenchmarkIngestSingleStream is the uncontended baseline: one session
+// on the stock service configuration backing up one stream at a time
+// with the server's default Rabin engine (no negotiation), at a small
+// and a large stream size.
 func BenchmarkIngestSingleStream(b *testing.B) {
-	srv, err := NewServer(testConfig(16))
-	if err != nil {
-		b.Fatal(err)
-	}
-	img := workload.Random(9, 4<<20)
-	c := startSession(b, srv)
-	b.SetBytes(int64(len(img)))
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		if _, err := c.BackupBytes(fmt.Sprintf("i%d", n), img); err != nil {
-			b.Fatal(err)
-		}
+	for _, size := range []int{2 << 20, 32 << 20} {
+		b.Run(fmt.Sprintf("%dMiB", size>>20), func(b *testing.B) {
+			srv, err := NewServer(DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			img := workload.Random(9, size)
+			c := startSession(b, srv)
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if _, err := c.BackupBytes(fmt.Sprintf("i%d", n), img); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 // bounded (a dedup session requires MaxSize within the frame limit).
 func dedupSpecs() map[string]chunk.Spec {
 	return map[string]chunk.Spec{
-		"rabin":   DefaultConfig().Shredder.Chunking,
+		"rabin":   DefaultConfig().Chunking,
 		"fastcdc": chunk.FastCDCSpec(4 << 10),
 	}
 }
@@ -180,7 +180,7 @@ func TestDedupMatchesRawExactly(t *testing.T) {
 // 95%-redundant snapshot workload the dedup path must move fewer than
 // 10% of raw mode's bytes while restoring byte-identically.
 func TestDedupWireSavingsAt95(t *testing.T) {
-	spec := DefaultConfig().Shredder.Chunking
+	spec := DefaultConfig().Chunking
 	im := workload.NewImage(71, 8<<20, 64<<10, 0.05) // 95% of segments survive
 	snap := im.Snapshot(72)
 

@@ -7,16 +7,16 @@ import (
 	"sync"
 	"testing"
 
-	"shredder/internal/chunker"
+	"shredder/internal/chunk"
 	"shredder/internal/dedup"
 	"shredder/internal/workload"
 )
 
-// testConfig shrinks the per-session pipeline for fast tests.
+// testConfig is the service default with a given shard count and
+// smaller store batches.
 func testConfig(shards int) Config {
 	cfg := DefaultConfig()
 	cfg.Shards = shards
-	cfg.Shredder.BufferSize = 1 << 20
 	cfg.BatchSize = 32
 	return cfg
 }
@@ -34,10 +34,11 @@ func startSession(t testing.TB, srv *Server) *Client {
 }
 
 // inProcessStats replays the same streams through the sequential
-// chunker + dedup.Store path — the pre-service ground truth.
+// engine cfg.Chunking describes + the dedup.Store path — the
+// pre-service ground truth.
 func inProcessStats(t *testing.T, cfg Config, streams [][]byte) dedup.Stats {
 	t.Helper()
-	chk, err := chunker.New(cfg.Shredder.Chunking.RabinParams())
+	eng, err := chunk.New(cfg.Chunking)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func inProcessStats(t *testing.T, cfg Config, streams [][]byte) dedup.Stats {
 		t.Fatal(err)
 	}
 	for _, data := range streams {
-		for _, c := range chk.Split(data) {
+		for _, c := range eng.Split(data) {
 			store.Put(data[c.Offset:c.End()])
 		}
 	}
@@ -55,53 +56,75 @@ func inProcessStats(t *testing.T, cfg Config, streams [][]byte) dedup.Stats {
 
 // TestRoundTrip backs up a master image and a similar snapshot through
 // the service path, restores both byte-exactly, and checks the dedup
-// statistics match the in-process path exactly.
+// statistics match the in-process path exactly — for the server's
+// default engine, a negotiated one, and each cut on a fixed worker
+// count.
 func TestRoundTrip(t *testing.T) {
-	cfg := testConfig(8)
-	srv, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := startSession(t, srv)
-	im := workload.NewImage(1, 4<<20, 64<<10, 0.1)
-	snap := im.Snapshot(2)
+	for _, tc := range []struct {
+		name      string
+		negotiate chunk.Spec // zero: skip negotiation, server default
+		workers   int
+	}{
+		{"rabin-default", chunk.Spec{}, 0},
+		{"fastcdc-negotiated", chunk.FastCDCSpec(4 << 10), 0},
+		{"rabin-workers2", chunk.Spec{}, 2},
+		{"fastcdc-workers2", chunk.FastCDCSpec(4 << 10), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(8)
+			cfg.ChunkWorkers = tc.workers
+			srv, err := NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := startSession(t, srv)
+			if tc.negotiate.Algo != 0 {
+				if _, err := c.Negotiate(tc.negotiate); err != nil {
+					t.Fatal(err)
+				}
+				cfg.Chunking = tc.negotiate // the reference cuts what the session cuts
+			}
+			im := workload.NewImage(1, 4<<20, 64<<10, 0.1)
+			snap := im.Snapshot(2)
 
-	mst, err := c.BackupBytes("master", im.Master)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mst.Bytes != int64(len(im.Master)) {
-		t.Fatalf("master stream bytes %d, want %d", mst.Bytes, len(im.Master))
-	}
-	if mst.DupChunks != 0 && mst.UniqueBytes == mst.Bytes {
-		t.Fatalf("master stats inconsistent: %+v", mst)
-	}
-	sst, err := c.BackupBytes("snap", snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sst.DupChunks == 0 {
-		t.Fatal("snapshot shares no chunks with master: dedup broken")
-	}
-	if sst.DedupRatio() < 2 {
-		t.Fatalf("snapshot dedup ratio %.2f, want > 2 for a 10%%-churn snapshot", sst.DedupRatio())
-	}
+			mst, err := c.BackupBytes("master", im.Master)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mst.Bytes != int64(len(im.Master)) {
+				t.Fatalf("master stream bytes %d, want %d", mst.Bytes, len(im.Master))
+			}
+			if mst.DupChunks != 0 && mst.UniqueBytes == mst.Bytes {
+				t.Fatalf("master stats inconsistent: %+v", mst)
+			}
+			sst, err := c.BackupBytes("snap", snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sst.DupChunks == 0 {
+				t.Fatal("snapshot shares no chunks with master: dedup broken")
+			}
+			if sst.DedupRatio() < 2 {
+				t.Fatalf("snapshot dedup ratio %.2f, want > 2 for a 10%%-churn snapshot", sst.DedupRatio())
+			}
 
-	// Byte-exact reconstruction over the wire.
-	if err := c.Verify("master", im.Master); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Verify("snap", snap); err != nil {
-		t.Fatal(err)
-	}
+			// Byte-exact reconstruction over the wire.
+			if err := c.Verify("master", im.Master); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Verify("snap", snap); err != nil {
+				t.Fatal(err)
+			}
 
-	// Identical dedup accounting to the in-process path.
-	want := inProcessStats(t, cfg, [][]byte{im.Master, snap})
-	if got := srv.Store().Stats(); got != want {
-		t.Fatalf("service stats %+v, in-process path %+v", got, want)
-	}
-	if sst.Store != srv.Store().Stats() {
-		t.Fatalf("final stream carried store stats %+v, store has %+v", sst.Store, srv.Store().Stats())
+			// Identical dedup accounting to the in-process path.
+			want := inProcessStats(t, cfg, [][]byte{im.Master, snap})
+			if got := srv.Store().Stats(); got != want {
+				t.Fatalf("service stats %+v, in-process path %+v", got, want)
+			}
+			if sst.Store != srv.Store().Stats() {
+				t.Fatalf("final stream carried store stats %+v, store has %+v", sst.Store, srv.Store().Stats())
+			}
+		})
 	}
 }
 
@@ -258,17 +281,16 @@ func TestEmptyStream(t *testing.T) {
 	}
 }
 
-// TestRestoreOversizedChunk: a pipeline with no MaxSize can cut chunks
+// TestRestoreOversizedChunk: an engine with no MaxSize can cut chunks
 // larger than one frame; restore must split them rather than fail.
 func TestRestoreOversizedChunk(t *testing.T) {
 	cfg := testConfig(4)
-	cfg.Shredder.BufferSize = 4 << 20
 	// A 30-bit mask over random data effectively never matches: the
 	// whole stream becomes one chunk at finish time.
-	cfg.Shredder.Chunking.MaskBits = 30
-	cfg.Shredder.Chunking.Marker = 1<<30 - 1
-	cfg.Shredder.Chunking.MinSize = 0
-	cfg.Shredder.Chunking.MaxSize = 0
+	cfg.Chunking.MaskBits = 30
+	cfg.Chunking.Marker = 1<<30 - 1
+	cfg.Chunking.MinSize = 0
+	cfg.Chunking.MaxSize = 0
 	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)

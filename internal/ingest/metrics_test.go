@@ -99,7 +99,7 @@ func TestMetricsScrapeUnderConcurrentDedupSessions(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			if _, err := c.NegotiateDedup(DefaultConfig().Shredder.Chunking); err != nil {
+			if _, err := c.NegotiateDedup(DefaultConfig().Chunking); err != nil {
 				t.Error(err)
 				return
 			}

@@ -77,7 +77,7 @@ func TestLegacySessionMatchesNegotiatedDefault(t *testing.T) {
 		c := startSession(t, srv)
 		defer c.Close()
 		if negotiate {
-			if _, err := c.Negotiate(srv.cfg.Shredder.Chunking); err != nil {
+			if _, err := c.Negotiate(srv.cfg.Chunking); err != nil {
 				t.Fatal(err)
 			}
 		}

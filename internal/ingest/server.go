@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"shredder/internal/chunk"
-	"shredder/internal/core"
 	"shredder/internal/dedup"
 	"shredder/internal/obs"
 	"shredder/internal/shardstore"
@@ -24,10 +23,16 @@ type Config struct {
 	// (0 means the shardstore defaults).
 	Shards        int
 	ContainerSize int64
-	// Shredder configures the per-session chunking pipeline. Each
-	// session owns one core.Shredder (the pipeline handles one stream
-	// at a time); sessions run concurrently against the shared store.
-	Shredder core.Config
+	// Chunking is the engine raw streams are cut with in sessions that
+	// skip negotiation; a Hello replaces it for its own session.
+	Chunking chunk.Spec
+	// ChunkWorkers, when > 1, cuts each raw stream on up to that many
+	// cores (chunk.Parallel, byte-identical to the sequential engine);
+	// negative means all cores. 0 or 1 cuts Rabin on all cores and
+	// FastCDC sequentially: the sequential Rabin scan is the slower
+	// path, and a FastCDC stream loses more to the fan-out than it
+	// gains.
+	ChunkWorkers int
 	// BatchSize is how many chunks the server accumulates before one
 	// batched has/put round against the store (0 means 64). Larger
 	// batches amortize stripe locking; smaller ones bound latency.
@@ -62,17 +67,16 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// DefaultConfig returns a service configuration: the paper's
-// full-optimization pipeline with backup-study chunk limits, 4 MB
-// buffers (per session), and 16 shards.
+// DefaultConfig returns a service configuration: the paper's Rabin
+// engine with backup-study chunk limits (4 KiB expected, 2–32 KiB) and
+// 16 shards.
 func DefaultConfig() Config {
-	sc := core.DefaultConfig()
-	sc.BufferSize = 4 << 20
-	sc.Chunking.MaskBits = 12
-	sc.Chunking.Marker = 1<<12 - 1
-	sc.Chunking.MinSize = 2 << 10
-	sc.Chunking.MaxSize = 32 << 10
-	return Config{Shards: 16, Shredder: sc, BatchSize: 64}
+	spec := chunk.DefaultSpec()
+	spec.MaskBits = 12
+	spec.Marker = 1<<12 - 1
+	spec.MinSize = 2 << 10
+	spec.MaxSize = 32 << 10
+	return Config{Shards: 16, Chunking: spec, BatchSize: 64}
 }
 
 // Server chunks and dedups client streams against one shared sharded
@@ -82,6 +86,7 @@ func DefaultConfig() Config {
 // (internal/persist) carries them across a restart.
 type Server struct {
 	cfg   Config
+	eng   chunk.Engine // the default engine, shared by every session
 	store *shardstore.Store
 	met   *serverMetrics // nil when cfg.Obs is nil
 	seq   atomic.Uint64  // session id source
@@ -112,19 +117,42 @@ func NewServerWithStore(cfg Config, store *shardstore.Store) (*Server, error) {
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 64
 	}
-	// Fail fast on a bad pipeline config rather than on first session.
-	if _, err := core.New(cfg.Shredder); err != nil {
+	s := &Server{
+		cfg:   cfg,
+		store: store,
+		met:   newServerMetrics(cfg.Obs),
+		conns: make(map[net.Conn]struct{}),
+	}
+	var err error
+	if s.eng, err = s.engine(cfg.Chunking); err != nil {
 		return nil, err
 	}
 	// One registry serves one store: Instrument is idempotent against
 	// the same registry, so two servers sharing a store may share it too.
 	store.Instrument(cfg.Obs)
-	return &Server{
-		cfg:   cfg,
-		store: store,
-		met:   newServerMetrics(cfg.Obs),
-		conns: make(map[net.Conn]struct{}),
-	}, nil
+	return s, nil
+}
+
+// engine builds the chunking engine for spec, wrapped in the parallel
+// host chunker when ChunkWorkers (or, by default, the Rabin algorithm)
+// calls for it. Its metric families register on cfg.Obs; registration
+// is idempotent per registry, so every session's engine aggregates
+// into the same counters.
+func (s *Server) engine(spec chunk.Spec) (chunk.Engine, error) {
+	eng, err := chunk.New(spec)
+	if err != nil {
+		return nil, err
+	}
+	workers := s.cfg.ChunkWorkers
+	if workers == 0 || workers == 1 {
+		if spec.Algo != chunk.AlgoRabin {
+			return eng, nil
+		}
+		workers = -1
+	}
+	p := chunk.NewParallel(eng, workers)
+	p.Instrument(s.cfg.Obs)
+	return p, nil
 }
 
 // Store exposes the shared chunk store (for stats and tests).
@@ -200,11 +228,11 @@ func (s *Server) Shutdown(grace time.Duration) {
 }
 
 // ServeConn runs one client session to completion: any number of
-// backup and restore operations, until the peer disconnects. Each
-// session gets its own chunking pipeline — the server default until a
-// Hello negotiates a different engine; the store is shared either way.
-// A session that negotiates version ≥ 3 may also run two-phase dedup
-// backups, which skip the server pipeline entirely (the client
+// backup and restore operations, until the peer disconnects. Raw
+// streams are cut with the server's default engine until a Hello
+// negotiates a different one; the store is shared either way. A
+// session that negotiates version ≥ 3 may also run two-phase dedup
+// backups, which skip server-side chunking entirely (the client
 // chunked).
 func (s *Server) ServeConn(conn net.Conn) error {
 	s.met.sessionStart()
@@ -236,12 +264,7 @@ func (s *Server) ServeConn(conn net.Conn) error {
 // serveSession is ServeConn's frame loop, returning the negotiated
 // protocol version alongside the session's fate.
 func (s *Server) serveSession(conn net.Conn, sl *slog.Logger) (byte, error) {
-	// The session pipeline is built lazily: sessions that negotiate
-	// never pay for the default engine (fingerprint table, kernel
-	// model, staging memory), and restore-only or dedup-only sessions
-	// never build one at all. NewServerWithStore already validated the
-	// default config, so a late core.New failure is exceptional.
-	var shred *core.Shredder
+	eng := s.eng
 	var ver byte // negotiated protocol version; 0 = legacy raw session
 	br := bufio.NewReaderSize(conn, 256<<10)
 	bw := bufio.NewWriterSize(conn, 256<<10)
@@ -273,7 +296,7 @@ func (s *Server) serveSession(conn net.Conn, sl *slog.Logger) (byte, error) {
 				_ = bw.Flush()
 				return ver, nerr
 			}
-			shred, ver = ns, nver
+			eng, ver = ns, nver
 			sp := s.span("negotiate", ctx, obs.Int("protocol", int64(ver)))
 			if sl != nil {
 				sl.Debug("session negotiated", "protocol", ver,
@@ -288,15 +311,8 @@ func (s *Server) serveSession(conn net.Conn, sl *slog.Logger) (byte, error) {
 				return ver, err
 			}
 		case MsgBegin:
-			if shred == nil {
-				var err error
-				if shred, err = core.New(s.cfg.Shredder); err != nil {
-					return ver, err
-				}
-				s.instrumentChunking(shred)
-			}
 			sp := s.span("backup", obs.SpanContext{}, obs.Str("recipe", string(payload)))
-			err := s.handleBackup(string(payload), ver, shred, br, bw, sl, sp)
+			err := s.handleBackup(string(payload), ver, eng, br, bw, sl, sp)
 			sp.End()
 			if err != nil {
 				return ver, err
@@ -360,12 +376,12 @@ func (s *Server) span(name string, ctx obs.SpanContext, attrs ...obs.Attr) *obs.
 	return s.cfg.Tracer.StartRemote(name, ctx, attrs...)
 }
 
-// negotiate validates a Hello payload and builds the session pipeline
-// it describes, returning the pipeline, the accepted spec, the agreed
+// negotiate validates a Hello payload and builds the session engine it
+// describes, returning the engine, the accepted spec, the agreed
 // protocol version and the client's trace context (zero below v4).
 // Failures come back as *NegotiationError with the reason the client
 // will see.
-func (s *Server) negotiate(payload []byte) (*core.Shredder, chunk.Spec, byte, obs.SpanContext, error) {
+func (s *Server) negotiate(payload []byte) (chunk.Engine, chunk.Spec, byte, obs.SpanContext, error) {
 	version, spec, ctx, err := decodeHello(payload)
 	if err != nil {
 		return nil, chunk.Spec{}, 0, ctx, &NegotiationError{Reason: err.Error()}
@@ -391,56 +407,43 @@ func (s *Server) negotiate(payload []byte) (*core.Shredder, chunk.Spec, byte, ob
 			Reason: "dedup sessions need a bounded max chunk size within the frame limit",
 		}
 	}
-	cc := s.cfg.Shredder
-	cc.Chunking = spec
-	shred, err := core.New(cc)
+	eng, err := s.engine(spec)
 	if err != nil {
 		return nil, chunk.Spec{}, 0, ctx, &NegotiationError{Reason: err.Error()}
 	}
-	return s.instrumentChunking(shred), spec, version, ctx, nil
+	return eng, spec, version, ctx, nil
 }
 
-// instrumentChunking registers the parallel host chunker's metric
-// families when the session pipeline cuts with one. Registration is
-// idempotent per registry, so every session aggregates into the same
-// counters; a nil registry is a no-op.
-func (s *Server) instrumentChunking(shred *core.Shredder) *core.Shredder {
-	if p, ok := shred.Engine().(*chunk.Parallel); ok {
-		p.Instrument(s.cfg.Obs)
-	}
-	return shred
-}
-
-// streamReader adapts the session's incoming Data frames into an
-// io.Reader for the chunking pipeline, stopping at the End frame.
+// streamReader feeds the session's incoming Data frames to a writer
+// (the chunking engine's stream), stopping at the End frame.
 type streamReader struct {
-	r     *bufio.Reader
-	met   *serverMetrics // nil ok
-	buf   []byte         // frame buffer, reused across frames
-	frame []byte         // unconsumed tail of the current Data payload
-	done  bool
+	r    *bufio.Reader
+	met  *serverMetrics // nil ok
+	buf  []byte         // frame buffer, reused across frames
+	done bool
 	// broken is set when the stream itself violated the protocol
 	// (truncation, bad frame): the connection is desynchronized and
 	// must not be drained further.
 	broken bool
 }
 
-func (sr *streamReader) Read(p []byte) (int, error) {
-	for len(sr.frame) == 0 {
-		if sr.done {
-			return 0, io.EOF
-		}
+// WriteTo writes each Data payload to w until the End frame, returning
+// the payload bytes written. A w.Write error stops it mid-stream with
+// the connection still in sync (drain can resume from there); a frame
+// error marks the stream broken.
+func (sr *streamReader) WriteTo(w io.Writer) (int64, error) {
+	var n int64
+	for !sr.done {
 		typ, payload, err := readFrame(sr.r, sr.buf)
 		if err != nil {
 			if err == io.EOF {
 				// The peer closed on a frame boundary but never sent
-				// End: the stream is truncated, not complete. A bare
-				// io.EOF here would make the pipeline treat the
-				// partial stream as a successful backup.
+				// End: the stream is truncated, not complete, and must
+				// not be committed as a successful backup.
 				err = &TruncatedError{Context: "backup stream before End frame", Cause: io.ErrUnexpectedEOF}
 			}
 			sr.broken = true
-			return 0, err
+			return n, err
 		}
 		sr.met.frame(typ)
 		if cap(payload) > cap(sr.buf) {
@@ -448,17 +451,18 @@ func (sr *streamReader) Read(p []byte) (int, error) {
 		}
 		switch typ {
 		case MsgData:
-			sr.frame = payload
+			m, err := w.Write(payload)
+			n += int64(m)
+			if err != nil {
+				return n, err
+			}
 		case MsgEnd:
 			sr.done = true
-			return 0, io.EOF
 		default:
 			sr.broken = true
-			return 0, &UnexpectedFrameError{Type: typ, Context: "backup stream"}
+			return n, &UnexpectedFrameError{Type: typ, Context: "backup stream"}
 		}
 	}
-	n := copy(p, sr.frame)
-	sr.frame = sr.frame[n:]
 	return n, nil
 }
 
@@ -466,11 +470,7 @@ func (sr *streamReader) Read(p []byte) (int, error) {
 // the client can finish writing and read our Error frame (required for
 // unbuffered transports like net.Pipe).
 func (sr *streamReader) drain() {
-	for !sr.done {
-		if _, err := sr.Read(make([]byte, 64<<10)); err != nil {
-			return
-		}
-	}
+	_, _ = sr.WriteTo(io.Discard)
 }
 
 // handleBackup runs one stream through chunking, batched dedup and
@@ -478,9 +478,9 @@ func (sr *streamReader) drain() {
 // is committed (durably, when the store's backing is) before the
 // MsgStats ack goes out: a stream the client saw acknowledged survives
 // a server restart.
-func (s *Server) handleBackup(name string, ver byte, shred *core.Shredder, br *bufio.Reader, bw *bufio.Writer, sl *slog.Logger, sp *obs.Span) error {
+func (s *Server) handleBackup(name string, ver byte, eng chunk.Engine, br *bufio.Reader, bw *bufio.Writer, sl *slog.Logger, sp *obs.Span) error {
 	sr := &streamReader{r: br, met: s.met}
-	st, recipe, err := s.ingest(shred, sr, sp)
+	st, recipe, err := s.ingest(eng, sr, sp)
 	if err == nil {
 		c := sp.Child("commit", obs.Int("chunks", int64(len(recipe))))
 		t0 := time.Now()
@@ -769,7 +769,7 @@ func (s *Server) handleDedupBackup(name string, ver byte, br *bufio.Reader, bw *
 
 // ingest chunks one stream and dedups it against the shared store in
 // BatchSize batches, returning the stream stats and its recipe.
-func (s *Server) ingest(shred *core.Shredder, r io.Reader, sp *obs.Span) (StreamStats, shardstore.Recipe, error) {
+func (s *Server) ingest(eng chunk.Engine, sr *streamReader, sp *obs.Span) (StreamStats, shardstore.Recipe, error) {
 	var st StreamStats
 	var recipe shardstore.Recipe
 	batch := make([][]byte, 0, s.cfg.BatchSize)
@@ -800,8 +800,8 @@ func (s *Server) ingest(shred *core.Shredder, r io.Reader, sp *obs.Span) (Stream
 		batch = batch[:0]
 		return nil
 	}
-	_, err := shred.ChunkReader(r, func(c chunk.Chunk, data []byte) error {
-		// data is a view into the pipeline's reused buffer: copy before
+	stm := eng.Stream(func(_ chunk.Chunk, data []byte) error {
+		// data is a view into the engine's reused buffer: copy before
 		// holding it across the batch boundary.
 		batch = append(batch, append([]byte(nil), data...))
 		if len(batch) >= s.cfg.BatchSize {
@@ -809,6 +809,10 @@ func (s *Server) ingest(shred *core.Shredder, r io.Reader, sp *obs.Span) (Stream
 		}
 		return nil
 	})
+	_, err := sr.WriteTo(stm)
+	if err == nil {
+		err = stm.Close()
+	}
 	if err != nil {
 		// The partial recipe goes back even on error: it lists exactly
 		// the references the flushed batches applied, which the caller
@@ -879,7 +883,7 @@ func (s *Server) handleRestore(name string, bw *bufio.Writer, sl *slog.Logger, s
 			return bw.Flush()
 		}
 		// Frame boundaries need not align to chunks: split oversized
-		// chunks (possible when the pipeline runs without a MaxSize)
+		// chunks (possible when the engine runs without a MaxSize)
 		// so a recorded stream can always be restored.
 		for len(data) > 0 {
 			n := len(data)

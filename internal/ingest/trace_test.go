@@ -18,7 +18,7 @@ func testCtx() obs.SpanContext {
 }
 
 func TestHelloCtxRoundTrip(t *testing.T) {
-	spec := DefaultConfig().Shredder.Chunking
+	spec := DefaultConfig().Chunking
 	ctx := testCtx()
 
 	ver, got, gotCtx, err := decodeHello(encodeHelloCtx(ProtocolVersion, spec, ctx))
@@ -42,7 +42,7 @@ func TestHelloCtxRoundTrip(t *testing.T) {
 // TestLegacyHelloByteIdentity: pre-v4 payloads must not change when a
 // trace context is offered — old servers parse them by exact layout.
 func TestLegacyHelloByteIdentity(t *testing.T) {
-	spec := DefaultConfig().Shredder.Chunking
+	spec := DefaultConfig().Chunking
 	ctx := testCtx()
 	for _, ver := range []byte{2, 3} {
 		plain := encodeHello(ver, spec)
@@ -114,7 +114,7 @@ func TestConnectedTrace(t *testing.T) {
 	}()
 	c := NewClient(cend)
 	c.SetTracer(tr)
-	if _, err := c.NegotiateDedup(cfg.Shredder.Chunking); err != nil {
+	if _, err := c.NegotiateDedup(cfg.Chunking); err != nil {
 		t.Fatal(err)
 	}
 	im := workload.NewImage(1, 1<<20, 32<<10, 0.1)
@@ -175,7 +175,7 @@ func TestUntracedSessionNoSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := startSession(t, srv)
-	if _, err := c.NegotiateDedup(cfg.Shredder.Chunking); err != nil {
+	if _, err := c.NegotiateDedup(cfg.Chunking); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.BackupDedupBytes("snap", bytes.Repeat([]byte("shred"), 1<<16)); err != nil {

@@ -27,13 +27,6 @@ func serveConn(srv *ingest.Server) *ingest.Client {
 	return ingest.NewClient(cend)
 }
 
-// ingestConfig shrinks the service defaults so the test stays fast.
-func ingestConfig() ingest.Config {
-	cfg := ingest.DefaultConfig()
-	cfg.Shredder.BufferSize = 1 << 20
-	return cfg
-}
-
 // TestServerRestartRoundTrip is the acceptance path for the
 // persistence layer: a multi-VM series ingested through ingest.Server
 // backed by a durable store, the store closed (the "restart"), then
@@ -62,7 +55,7 @@ func TestServerRestartRoundTrip(t *testing.T) {
 	}
 
 	store := openStore(t, dir, opts)
-	srv, err := ingest.NewServerWithStore(ingestConfig(), store)
+	srv, err := ingest.NewServerWithStore(ingest.DefaultConfig(), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +92,7 @@ func TestServerRestartRoundTrip(t *testing.T) {
 	if after := store.Stats(); after != before {
 		t.Fatalf("recovered stats %+v, want %+v", after, before)
 	}
-	srv, err = ingest.NewServerWithStore(ingestConfig(), store)
+	srv, err = ingest.NewServerWithStore(ingest.DefaultConfig(), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +123,7 @@ func TestServerRestartAfterWALTruncation(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Shards: 1, Fsync: FsyncPolicy{Mode: FsyncNever}}
 	store := openStore(t, dir, opts)
-	srv, err := ingest.NewServerWithStore(ingestConfig(), store)
+	srv, err := ingest.NewServerWithStore(ingest.DefaultConfig(), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +176,7 @@ func TestDeleteRestartReingest(t *testing.T) {
 	snap := im.Snapshot(56)
 
 	store := openStore(t, dir, opts)
-	srv, err := ingest.NewServerWithStore(ingestConfig(), store)
+	srv, err := ingest.NewServerWithStore(ingest.DefaultConfig(), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +268,7 @@ func TestDeleteRestartReingest(t *testing.T) {
 
 	// Re-ingest the deleted stream: exactly the freed bodies cross the
 	// wire again, and everything restores byte-exactly.
-	srv, err = ingest.NewServerWithStore(ingestConfig(), store)
+	srv, err = ingest.NewServerWithStore(ingest.DefaultConfig(), store)
 	if err != nil {
 		t.Fatal(err)
 	}
