@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"shredder/internal/chunk"
 	"shredder/internal/dedup"
@@ -227,14 +228,26 @@ func TestDedupWireSavingsAt95(t *testing.T) {
 }
 
 // TestConcurrentDedupOverlap races two dedup sessions whose streams
-// share most chunks against one server: both may be told "missing" for
-// the same fingerprint and both upload it, the store must dedup the
-// collision, every stream must restore byte-exactly, and the final
-// refcounts must equal each chunk's total reference count across both
-// recipes — the invariant the future GC will free chunks by.
+// share most chunks against one server, with in-flight claims on (a
+// session waits for the other's upload of a chunk they both lack) and
+// off (both may be told "missing" and both upload it, so the store must
+// dedup the collision). Either way every stream must restore
+// byte-exactly, and the final refcounts must equal each chunk's total
+// reference count across both recipes — the invariant the GC frees
+// chunks by.
 func TestConcurrentDedupOverlap(t *testing.T) {
+	for mode, wait := range map[string]time.Duration{"claims": 0, "no-claims": -1} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := testConfig(16)
+			cfg.ClaimWait = wait
+			testConcurrentDedupOverlap(t, cfg)
+		})
+	}
+}
+
+func testConcurrentDedupOverlap(t *testing.T, cfg Config) {
 	spec := chunk.FastCDCSpec(4 << 10)
-	srv, err := NewServer(testConfig(16))
+	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,9 +285,14 @@ func TestConcurrentDedupOverlap(t *testing.T) {
 			t.Fatalf("session %s: %v", name, err)
 		}
 	}
+	checkRefcounts(t, srv.Store(), spec, images)
+}
 
-	// Expected refcounts: one per occurrence of the chunk across both
-	// streams, counted by splitting the images with the same engine.
+// checkRefcounts asserts the store holds exactly one reference per
+// occurrence of each chunk across images, counted by splitting them
+// with spec's engine, and that its aggregate accounting agrees.
+func checkRefcounts(t *testing.T, store *shardstore.Store, spec chunk.Spec, images map[string][]byte) {
+	t.Helper()
 	eng, err := chunk.New(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -287,14 +305,70 @@ func TestConcurrentDedupOverlap(t *testing.T) {
 	}
 	var totalChunks int64
 	for h, n := range want {
-		if got := srv.Store().Refcount(h); got != n {
+		if got := store.Refcount(h); got != n {
 			t.Fatalf("refcount %x = %d, want %d", h[:8], got, n)
 		}
 		totalChunks += n
 	}
-	if st := srv.Store().Stats(); st.Chunks != totalChunks || st.UniqueChunks != int64(len(want)) {
+	if st := store.Stats(); st.Chunks != totalChunks || st.UniqueChunks != int64(len(want)) {
 		t.Fatalf("store accounting %+v, want %d chunks / %d unique", st, totalChunks, len(want))
 	}
+}
+
+// TestConcurrentDedupSendsSharedContentOnce releases several dedup
+// sessions through a barrier onto the same new image, the "every VM
+// backs up at 02:00" case: in-flight claims make the sessions wait for
+// each other's uploads instead of all sending the image, so the bytes
+// on the wire stay within 10% of one copy of its unique content (the
+// slack covers every session's fingerprint rounds), and every chunk
+// ends with exactly one reference per stream that holds it.
+func TestConcurrentDedupSendsSharedContentOnce(t *testing.T) {
+	const sessions = 4
+	spec := chunk.FastCDCSpec(4 << 10)
+	srv, err := NewServer(testConfig(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := workload.NewImage(91, 4<<20, 64<<10, 0).Master
+	clients := make([]*Client, sessions)
+	for i := range clients {
+		clients[i] = startSession(t, srv)
+		if _, err := clients[i].NegotiateDedup(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := make(chan struct{})
+	stats := make([]*StreamStats, sessions)
+	errs := make([]error, sessions)
+	var wg sync.WaitGroup
+	for i, c := range clients {
+		wg.Add(1)
+		go func(i int, c *Client) {
+			defer wg.Done()
+			<-start
+			stats[i], errs[i] = c.BackupDedupBytes(fmt.Sprintf("vm-%d", i), img)
+		}(i, c)
+	}
+	close(start)
+	wg.Wait()
+	images := make(map[string][]byte, sessions)
+	var wire int64
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		name := fmt.Sprintf("vm-%d", i)
+		if err := clients[i].Verify(name, img); err != nil {
+			t.Fatal(err)
+		}
+		images[name] = img
+		wire += stats[i].Wire.WireBytes
+	}
+	unique := srv.Store().Stats().StoredBytes
+	if float64(wire) > 1.1*float64(unique) {
+		t.Fatalf("%d sessions moved %d wire bytes for %d unique bytes, want <= 1.1x", sessions, wire, unique)
+	}
+	checkRefcounts(t, srv.Store(), spec, images)
 }
 
 // TestConcurrentDedupDeleteCompactRace is the retention race battery:

@@ -37,6 +37,13 @@ type Config struct {
 	// batched has/put round against the store (0 means 64). Larger
 	// batches amortize stripe locking; smaller ones bound latency.
 	BatchSize int
+	// ClaimWait bounds how long a dedup session waits for another
+	// session's in-flight upload of a chunk it also lacks before it
+	// uploads the chunk itself (0 means DefaultClaimWait). The wait is
+	// what lets sessions backing up the same new content at once send
+	// it over the wire once. Negative turns claims off: each session
+	// uploads whatever the store lacked when it asked.
+	ClaimWait time.Duration
 	// MaxProtocol caps the protocol version the server will accept in
 	// a Hello (0 means ProtocolVersion). Setting 2 turns off two-phase
 	// dedup ingest and makes the server behave exactly like a
@@ -79,6 +86,11 @@ func DefaultConfig() Config {
 	return Config{Shards: 16, Chunking: spec, BatchSize: 64}
 }
 
+// DefaultClaimWait is the ClaimWait a zero Config gets: several times
+// one healthy round's upload, short enough that a stalled claimer
+// costs its waiters little.
+const DefaultClaimWait = 500 * time.Millisecond
+
 // Server chunks and dedups client streams against one shared sharded
 // store. All exported methods are safe for concurrent use; each
 // connection is one session and sessions run independently. Stream
@@ -116,6 +128,9 @@ func NewServerWithStore(cfg Config, store *shardstore.Store) (*Server, error) {
 	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 64
+	}
+	if cfg.ClaimWait == 0 {
+		cfg.ClaimWait = DefaultClaimWait
 	}
 	s := &Server{
 		cfg:   cfg,
@@ -566,7 +581,18 @@ func (s *Server) handleDedupBackup(name string, ver byte, br *bufio.Reader, bw *
 	// risk releasing references another stream holds.
 	var applied shardstore.Recipe
 	committed := false
+	// claims marks the fingerprints this stream was told to upload as
+	// in flight, so concurrent streams wait for these bodies instead
+	// of uploading them too; each round's claims are dropped once its
+	// bodies are stored or abandoned.
+	var claims *shardstore.Claimer
+	if s.cfg.ClaimWait > 0 {
+		claims = s.store.NewClaimer(s.cfg.ClaimWait)
+	}
 	defer func() {
+		if claims != nil {
+			claims.Drop()
+		}
 		if !committed && len(applied) > 0 {
 			_, _ = s.store.Release(applied)
 		}
@@ -599,13 +625,21 @@ func (s *Server) handleDedupBackup(name string, ver byte, br *bufio.Reader, bw *
 			if appErr == nil {
 				st.Wire.WireBytes += int64(len(payload))
 				hb := sp.Child("has_batch", obs.Int("chunks", int64(len(hs))))
-				if refs, missing, err = s.store.PinBatchTraced(hs, hb); err != nil {
+				if claims != nil {
+					refs, missing, err = claims.PinBatch(hs, hb)
+				} else {
+					refs, missing, err = s.store.PinBatchTraced(hs, hb)
+				}
+				if err != nil {
 					appErr = err
 				}
 				hb.Set(obs.Int("missing", int64(len(missing))))
 				hb.End()
 			}
 			if appErr != nil {
+				if claims != nil {
+					claims.Drop()
+				}
 				// Draining: tell the client we need nothing so it keeps
 				// its bodies and reaches Commit, where the error waits.
 				if err := writeFrame(bw, MsgNeedBatch, nil); err != nil {
@@ -717,6 +751,9 @@ func (s *Server) handleDedupBackup(name string, ver byte, br *bufio.Reader, bw *
 				if err := flushGroup(); err != nil {
 					appErr = err
 				}
+			}
+			if claims != nil {
+				claims.Drop()
 			}
 			if appErr == nil {
 				// The recipe is content-addressed: the round's

@@ -102,6 +102,9 @@ type shard struct {
 	// from location to fingerprint, maintained on insert/relocate/drop.
 	live  map[int]int64
 	byLoc map[loc]Hash
+	// claims holds the in-flight uploads of fingerprints the index
+	// lacks (see Claimer); an insert resolves its fingerprint's claim.
+	claims map[Hash]*claim
 }
 
 // setSpan hands the active span to the backing when it cares. The
@@ -139,6 +142,8 @@ type Store struct {
 	compactions    atomic.Int64
 	compactedBytes atomic.Int64
 	movedBytes     atomic.Int64
+	claimWaits     atomic.Int64
+	claimTimeouts  atomic.Int64
 	missingSeconds *obs.Histogram
 
 	// recipeSink is the backing as a spanSink for the recipe-journal
@@ -182,6 +187,7 @@ func Open(b Backing) (*Store, error) {
 			refcount: make(map[Hash]int64),
 			live:     make(map[int]int64),
 			byLoc:    make(map[loc]Hash),
+			claims:   make(map[Hash]*claim),
 		}
 		sh.sink, _ = sh.back.(spanSink)
 		err := sh.back.Recover(func(h Hash, ref Ref, rc int64) error {
@@ -304,6 +310,10 @@ func (sh *shard) put(h Hash, data []byte) (Ref, bool, error) {
 	sh.refcount[h] = 1
 	sh.live[ci] += ref.Length
 	sh.byLoc[loc{ci, off}] = h
+	if cl, ok := sh.claims[h]; ok {
+		delete(sh.claims, h)
+		close(cl.done)
+	}
 	return ref, false, nil
 }
 
@@ -370,7 +380,8 @@ func (s *Store) Missing(hs []Hash) []int {
 // PinBatch answers a batched Matching query while taking one reference
 // on every fingerprint it answers "present" for, under that shard's
 // stripe lock and journaled like any duplicate hit. This is the
-// primitive behind the ingest protocol's HasBatch: by the time the
+// primitive behind the ingest protocol's HasBatch (through a Claimer,
+// which adds in-flight upload claims): by the time the
 // server tells a client to skip a chunk body, the stream's reference
 // is already counted, so no concurrent reclaim — DeleteRecipe or the
 // compactor — can free the chunk between the answer and the stream's
@@ -387,53 +398,7 @@ func (s *Store) PinBatch(hs []Hash) (refs []Ref, missing []int, err error) {
 // latency observation carries sp's trace as its bucket exemplar. A nil
 // sp is exactly PinBatch.
 func (s *Store) PinBatchTraced(hs []Hash, sp *obs.Span) (refs []Ref, missing []int, err error) {
-	if h := s.missingSeconds; h != nil {
-		defer h.ObserveSinceExemplar(time.Now(), sp.Trace())
-	}
-	refs = make([]Ref, len(hs))
-	found := make([]bool, len(hs))
-	var logical, chunksN, dups int64
-	err = s.byShard(hs, func(sh *shard, idxs []int) error {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if sp != nil {
-			sh.setSpan(sp)
-			defer sh.setSpan(nil)
-		}
-		pinned := false
-		for _, i := range idxs {
-			ref, ok := sh.index[hs[i]]
-			if !ok {
-				continue
-			}
-			if err := sh.back.LogRefDelta(hs[i], 1); err != nil {
-				return err
-			}
-			sh.refcount[hs[i]]++
-			refs[i], found[i] = ref, true
-			chunksN++
-			dups++
-			logical += ref.Length
-			pinned = true
-		}
-		if pinned {
-			return sh.back.Commit()
-		}
-		return nil
-	})
-	if err == nil {
-		err = s.commitBarrier()
-	}
-	s.chunks.Add(chunksN)
-	s.logical.Add(logical)
-	s.hits.Add(dups)
-	missing = make([]int, 0, len(hs))
-	for i, ok := range found {
-		if !ok {
-			missing = append(missing, i)
-		}
-	}
-	return refs, missing, err
+	return s.pinBatch(nil, hs, sp)
 }
 
 // PutBatch stores a batch of chunks in order, grouping the inserts by
@@ -1034,6 +999,12 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("shardstore_compact_moved_bytes_total",
 		"Live bytes rewritten into fresh containers by compaction.",
 		func() float64 { return float64(s.movedBytes.Load()) })
+	reg.CounterFunc("shardstore_claim_waits_total",
+		"Matching queries that waited on another session's in-flight upload of a chunk.",
+		func() float64 { return float64(s.claimWaits.Load()) })
+	reg.CounterFunc("shardstore_claim_wait_timeouts_total",
+		"Claim waits that ran out, leaving the waiter to upload the chunk itself.",
+		func() float64 { return float64(s.claimTimeouts.Load()) })
 	reg.GaugeFunc("shardstore_logical_bytes",
 		"Logical bytes the live streams represent.",
 		func() float64 { return float64(s.logical.Load()) })
