@@ -42,14 +42,10 @@
 // -commit-window D batches concurrent sessions' WAL fsyncs under
 // -fsync always into one group commit per window, every session still
 // acked only after the fsync covering its records really returned.
-// -claim-wait D bounds how long a dedup session waits for another
-// session's in-flight upload of a chunk both lack before sending the
-// chunk itself (negative: never wait, every session uploads what the
-// store lacked when it asked).
 //
 //	shredderd [-addr :9323] [-admin :7071] [-shards N] [-batch N]
 //	          [-chunker rabin|fastcdc] [-avg KiB] [-minchunk KiB] [-maxchunk KiB]
-//	          [-dedup-wire=true|false] [-parallel-chunk N] [-claim-wait D]
+//	          [-dedup-wire=true|false] [-parallel-chunk N]
 //	          [-data DIR] [-fsync always|never|interval[=D]] [-commit-window D]
 //	          [-gc-interval D] [-gc-threshold F] [-trace-slow D]
 //	          [-grace D] [-log-level L] [-log-json] [-quiet]
@@ -89,7 +85,6 @@ func main() {
 	maxKiB := flag.Int("maxchunk", 0, "maximum chunk size in KiB (0: engine default)")
 	dedupWire := flag.Bool("dedup-wire", true, "accept protocol v3+ two-phase dedup sessions (client-side chunking, only missing bodies cross the wire); false caps the protocol at v2")
 	parallelChunk := flag.Int("parallel-chunk", 0, "chunk server-side streams on this many cores (byte-identical output; -1: all cores; 0/1: Rabin on all cores, FastCDC sequential)")
-	claimWait := flag.Duration("claim-wait", ingest.DefaultClaimWait, "how long a dedup session waits for another session's in-flight upload of a chunk it also lacks before uploading it itself (negative: never wait)")
 	data := flag.String("data", "", "data directory for durable storage (empty: in-memory only)")
 	fsyncFlag := flag.String("fsync", "interval", "fsync policy with -data: always, never, interval[=D], or a duration")
 	commitWindow := flag.Duration("commit-window", 2*time.Millisecond, "group-commit window with -fsync always: batch concurrent sessions' WAL appends into one fsync per window (0: fsync per commit)")
@@ -150,7 +145,6 @@ func main() {
 		cfg.MaxProtocol = 2
 	}
 	cfg.ChunkWorkers = *parallelChunk
-	cfg.ClaimWait = *claimWait
 
 	var store *shardstore.Store
 	if *data != "" {

@@ -24,6 +24,7 @@ func nodeConfig() ingest.Config {
 type testCluster struct {
 	topo Topology
 	srvs []*ingest.Server
+	regs []*obs.Registry // each node's metrics
 	lns  []net.Listener
 }
 
@@ -31,7 +32,9 @@ func startNodes(t *testing.T, n int) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	for i := 0; i < n; i++ {
-		srv, err := ingest.NewServer(nodeConfig())
+		cfg := nodeConfig()
+		cfg.Obs = obs.NewRegistry()
+		srv, err := ingest.NewServer(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,6 +44,7 @@ func startNodes(t *testing.T, n int) *testCluster {
 		}
 		go srv.Serve(ln)
 		tc.srvs = append(tc.srvs, srv)
+		tc.regs = append(tc.regs, cfg.Obs)
 		tc.lns = append(tc.lns, ln)
 		tc.topo.Nodes = append(tc.topo.Nodes,
 			Node{ID: fmt.Sprintf("n%d", i), Addr: ln.Addr().String()})

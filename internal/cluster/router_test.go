@@ -3,14 +3,18 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"shredder/internal/chunk"
 	"shredder/internal/ingest"
 	"shredder/internal/obs"
+	"shredder/internal/shardstore"
 	"shredder/internal/workload"
 )
 
@@ -219,4 +223,89 @@ func TestRouterReservedNameRejected(t *testing.T) {
 	if _, err := sess.BackupDedupBytes(ManifestName("x"), []byte("nope")); err == nil {
 		t.Fatal("router accepted a backup into the reserved namespace")
 	}
+}
+
+// TestRouterConcurrentDedupNoClaimStall releases four dedup clients
+// through a barrier onto the same new image via the router, the routed
+// "every VM backs up at 02:00" case. Each client round fans out to
+// both nodes and its bodies only follow once every node answered, so a
+// node-side wait on another stream's in-flight upload could close a
+// cycle across the nodes that no single store sees, stalling each such
+// batch for shardstore.MaxClaimWait. Routed sub-streams must therefore
+// never wait: no node may count a claim wait (let alone one that ran
+// out). The wall-time bound is the coarse check, loose enough for a
+// loaded machine.
+func TestRouterConcurrentDedupNoClaimStall(t *testing.T) {
+	const clients = 4
+	tc := startNodes(t, 2)
+	c := newTestCluster(t, tc, DefaultSpec())
+	addr := startRouter(t, c)
+	spec := chunk.FastCDCSpec(8 << 10)
+	img := workload.NewImage(97, 16<<20, 64<<10, 0).Master
+
+	sessions := make([]*ingest.Session, clients)
+	for i := range sessions {
+		sess, err := ingest.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		if _, err := sess.NegotiateDedup(spec); err != nil {
+			t.Fatal(err)
+		}
+		sessions[i] = sess
+	}
+	start := make(chan struct{})
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	for i, sess := range sessions {
+		wg.Add(1)
+		go func(i int, sess *ingest.Session) {
+			defer wg.Done()
+			<-start
+			_, errs[i] = sess.BackupDedupBytes(fmt.Sprintf("vm-%d", i), img)
+		}(i, sess)
+	}
+	t0 := time.Now()
+	close(start)
+	wg.Wait()
+	wall := time.Since(t0)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+		if err := sessions[i].Verify(fmt.Sprintf("vm-%d", i), img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, reg := range tc.regs {
+		waits := counterValue(t, reg, "shardstore_claim_waits_total")
+		timeouts := counterValue(t, reg, "shardstore_claim_wait_timeouts_total")
+		if waits != 0 || timeouts != 0 {
+			t.Fatalf("node %d: routed sub-streams waited %v times on claims, %v ran out", i, waits, timeouts)
+		}
+	}
+	if limit := 4 * shardstore.MaxClaimWait; wall >= limit {
+		t.Fatalf("%d routed backups of a 16 MiB image took %v, want < %v", clients, wall, limit)
+	}
+}
+
+// counterValue reads one unlabelled counter from reg's scrape.
+func counterValue(t *testing.T, reg *obs.Registry, name string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("scrape has no %s", name)
+	return 0
 }

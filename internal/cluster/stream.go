@@ -137,7 +137,14 @@ func (st *Stream) ensureOpen(n *streamNode) error {
 		n.fail(err)
 		return err
 	}
-	if err := sess.BeginDedup(st.name, st.sp.Context()); err != nil {
+	// A RoundHas sub-stream's bodies wait on every node's answer, so
+	// it must not wait on other streams' uploads (see
+	// Session.BeginRoutedDedup); Add's per-node workers may.
+	begin := sess.BeginDedup
+	if st.op == "backup_dedup" {
+		begin = sess.BeginRoutedDedup
+	}
+	if err := begin(st.name, st.sp.Context()); err != nil {
 		st.c.pools[n.idx].Discard(sess)
 		ne := st.nodeErr(n, err)
 		n.fail(ne)

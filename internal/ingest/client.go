@@ -356,11 +356,25 @@ const (
 // client operation it is serving). Plain clients should keep using
 // BackupDedup, which wraps the whole exchange.
 func (s *Session) BeginDedup(name string, parent obs.SpanContext) error {
+	return s.beginDedup(name, parent, false)
+}
+
+// BeginRoutedDedup is BeginDedup for a router's sub-stream whose
+// bodies follow only once other nodes have answered the same client
+// round. The node then never holds the stream's answers back to wait
+// for another stream's in-flight upload of the same chunk: such waits
+// could close a cycle across nodes. A session below version 4 cannot
+// carry the mark and opens a plain stream.
+func (s *Session) BeginRoutedDedup(name string, parent obs.SpanContext) error {
+	return s.beginDedup(name, parent, true)
+}
+
+func (s *Session) beginDedup(name string, parent obs.SpanContext, routed bool) error {
 	if s.version < 3 {
 		return ErrDedupUnsupported
 	}
 	s.streamName = name
-	return writeFrame(s.bw, MsgBeginDedup, encodeBeginDedup(s.version, name, parent))
+	return writeFrame(s.bw, MsgBeginDedup, encodeBeginDedup(s.version, name, parent, routed))
 }
 
 // HasBatch runs one fingerprint round on a dedup stream opened with

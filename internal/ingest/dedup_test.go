@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"shredder/internal/chunk"
 	"shredder/internal/dedup"
@@ -228,24 +227,13 @@ func TestDedupWireSavingsAt95(t *testing.T) {
 }
 
 // TestConcurrentDedupOverlap races two dedup sessions whose streams
-// share most chunks against one server, with in-flight claims on (a
-// session waits for the other's upload of a chunk they both lack) and
-// off (both may be told "missing" and both upload it, so the store must
-// dedup the collision). Either way every stream must restore
-// byte-exactly, and the final refcounts must equal each chunk's total
-// reference count across both recipes — the invariant the GC frees
-// chunks by.
+// share most chunks against one server: a session told a chunk is
+// missing claims it, and the other waits for that upload instead of
+// sending it too. Every stream must restore byte-exactly, and the
+// final refcounts must equal each chunk's total reference count across
+// both recipes — the invariant the GC frees chunks by.
 func TestConcurrentDedupOverlap(t *testing.T) {
-	for mode, wait := range map[string]time.Duration{"claims": 0, "no-claims": -1} {
-		t.Run(mode, func(t *testing.T) {
-			cfg := testConfig(16)
-			cfg.ClaimWait = wait
-			testConcurrentDedupOverlap(t, cfg)
-		})
-	}
-}
-
-func testConcurrentDedupOverlap(t *testing.T, cfg Config) {
+	cfg := testConfig(16)
 	spec := chunk.FastCDCSpec(4 << 10)
 	srv, err := NewServer(cfg)
 	if err != nil {
@@ -652,7 +640,7 @@ func TestDedupBodyHashMismatchRejected(t *testing.T) {
 	if typ, _, err := readFrame(br, nil); err != nil || typ != MsgAccept {
 		t.Fatalf("hello reply %d, %v", typ, err)
 	}
-	if err := writeFrame(conn, MsgBeginDedup, encodeBeginDedup(ProtocolVersion, "evil", obs.SpanContext{})); err != nil {
+	if err := writeFrame(conn, MsgBeginDedup, encodeBeginDedup(ProtocolVersion, "evil", obs.SpanContext{}, false)); err != nil {
 		t.Fatal(err)
 	}
 	honest := []byte("honest chunk body")

@@ -176,7 +176,7 @@ func TestAbortedDedupStreamReleasesPins(t *testing.T) {
 	if typ, _, err := readFrame(br, nil); err != nil || typ != MsgAccept {
 		t.Fatalf("hello reply %d, %v", typ, err)
 	}
-	if err := writeFrame(conn, MsgBeginDedup, encodeBeginDedup(ProtocolVersion, "doomed", obs.SpanContext{})); err != nil {
+	if err := writeFrame(conn, MsgBeginDedup, encodeBeginDedup(ProtocolVersion, "doomed", obs.SpanContext{}, false)); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeFrame(conn, MsgHasBatch, encodeHasBatch(hs)); err != nil {

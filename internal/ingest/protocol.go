@@ -55,7 +55,9 @@
 // onto the client's and one trace covers both sides of the wire. The
 // field rides only on sessions that negotiated version 4 and only when
 // the client is actually tracing — v2/v3 sessions, and untraced v4
-// sessions, stay byte-identical.
+// sessions, stay byte-identical. BeginDedup's v4 flag byte also marks
+// a router's sub-streams, which a node must not make wait on other
+// streams' in-flight uploads.
 //
 // # Version-fallback matrix
 //
@@ -248,44 +250,60 @@ func decodeHello(p []byte) (byte, chunk.Spec, obs.SpanContext, error) {
 	return version, spec, ctx, nil
 }
 
+// BeginDedup flag bits (version ≥ 4).
+const (
+	// beginTraced: a 24-byte trace context follows the flag byte.
+	beginTraced byte = 1 << iota
+	// beginRouted: the stream is a router's sub-stream, whose bodies
+	// follow only once every node answered the client's round, so the
+	// node must never make it wait on another stream's in-flight
+	// upload (see shardstore.Claimer).
+	beginRouted
+)
+
 // encodeBeginDedup builds a MsgBeginDedup payload. Through version 3
 // the payload is the bare stream name. Version 4 prefixes a flag byte
-// (0: no context; 1: a 24-byte trace context follows, then the name)
-// so traced and untraced streams are unambiguous.
-func encodeBeginDedup(version byte, name string, ctx obs.SpanContext) []byte {
+// (beginTraced, beginRouted) so traced and untraced streams are
+// unambiguous; a traced stream's 24-byte context follows the flags,
+// then the name. Older versions cannot mark a stream routed.
+func encodeBeginDedup(version byte, name string, ctx obs.SpanContext, routed bool) []byte {
 	if version < 4 {
 		return []byte(name)
 	}
+	var flags byte
+	if routed {
+		flags |= beginRouted
+	}
 	if !ctx.Valid() {
-		return append([]byte{0}, name...)
+		return append([]byte{flags}, name...)
 	}
 	p := make([]byte, 0, 1+obs.SpanContextWireSize+len(name))
-	p = append(p, 1)
+	p = append(p, flags|beginTraced)
 	p = append(p, ctx.Encode()...)
 	return append(p, name...)
 }
 
 // decodeBeginDedup parses a MsgBeginDedup payload for the session's
 // negotiated version.
-func decodeBeginDedup(version byte, p []byte) (string, obs.SpanContext, error) {
+func decodeBeginDedup(version byte, p []byte) (name string, ctx obs.SpanContext, routed bool, err error) {
 	if version < 4 {
-		return string(p), obs.SpanContext{}, nil
+		return string(p), obs.SpanContext{}, false, nil
 	}
 	if len(p) < 1 {
-		return "", obs.SpanContext{}, errors.New("ingest: empty begin-dedup payload")
+		return "", obs.SpanContext{}, false, errors.New("ingest: empty begin-dedup payload")
 	}
-	switch p[0] {
-	case 0:
-		return string(p[1:]), obs.SpanContext{}, nil
-	case 1:
-		if len(p) < 1+obs.SpanContextWireSize {
-			return "", obs.SpanContext{}, errors.New("ingest: begin-dedup payload truncates its trace context")
+	flags, body := p[0], p[1:]
+	if flags&^(beginTraced|beginRouted) != 0 {
+		return "", obs.SpanContext{}, false, fmt.Errorf("ingest: begin-dedup flags %#x unknown", flags)
+	}
+	if flags&beginTraced != 0 {
+		if len(body) < obs.SpanContextWireSize {
+			return "", obs.SpanContext{}, false, errors.New("ingest: begin-dedup payload truncates its trace context")
 		}
-		ctx, _ := obs.DecodeSpanContext(p[1 : 1+obs.SpanContextWireSize])
-		return string(p[1+obs.SpanContextWireSize:]), ctx, nil
-	default:
-		return "", obs.SpanContext{}, fmt.Errorf("ingest: begin-dedup trace flag %d unknown", p[0])
+		ctx, _ = obs.DecodeSpanContext(body[:obs.SpanContextWireSize])
+		body = body[obs.SpanContextWireSize:]
 	}
+	return string(body), ctx, flags&beginRouted != 0, nil
 }
 
 // hashSize is the wire size of one chunk fingerprint.

@@ -57,26 +57,26 @@ func FuzzHelloCodec(f *testing.F) {
 
 // FuzzBeginDedupCodec: decodeBeginDedup must never panic for any
 // negotiated version and payload, and accepted payloads must round
-// trip: the stream name and trace context survive re-encoding under
-// the same version.
+// trip: the stream name, trace context and routed mark survive
+// re-encoding under the same version.
 func FuzzBeginDedupCodec(f *testing.F) {
 	f.Add(byte(2), []byte("backup-2026-08"))
-	f.Add(byte(4), encodeBeginDedup(4, "snap", obs.SpanContext{}))
-	f.Add(byte(4), encodeBeginDedup(4, "snap", fuzzCtx))
+	f.Add(byte(4), encodeBeginDedup(4, "snap", obs.SpanContext{}, false))
+	f.Add(byte(4), encodeBeginDedup(4, "snap", fuzzCtx, true))
 	f.Add(byte(4), []byte{1, 0, 0})
 	f.Add(byte(4), []byte{2, 'x'})
 	f.Fuzz(func(t *testing.T, version byte, in []byte) {
-		name, ctx, err := decodeBeginDedup(version, in)
+		name, ctx, routed, err := decodeBeginDedup(version, in)
 		if err != nil {
 			return
 		}
-		name2, ctx2, err := decodeBeginDedup(version, encodeBeginDedup(version, name, ctx))
+		name2, ctx2, routed2, err := decodeBeginDedup(version, encodeBeginDedup(version, name, ctx, routed))
 		if err != nil {
 			t.Fatalf("re-encoded begin-dedup rejected: %v", err)
 		}
-		if name2 != name || ctx2 != ctx {
-			t.Fatalf("begin-dedup round trip drifted: (%q %+v) -> (%q %+v)",
-				name, ctx, name2, ctx2)
+		if name2 != name || ctx2 != ctx || routed2 != routed {
+			t.Fatalf("begin-dedup round trip drifted: (%q %+v %v) -> (%q %+v %v)",
+				name, ctx, routed, name2, ctx2, routed2)
 		}
 	})
 }

@@ -37,13 +37,6 @@ type Config struct {
 	// batched has/put round against the store (0 means 64). Larger
 	// batches amortize stripe locking; smaller ones bound latency.
 	BatchSize int
-	// ClaimWait bounds how long a dedup session waits for another
-	// session's in-flight upload of a chunk it also lacks before it
-	// uploads the chunk itself (0 means DefaultClaimWait). The wait is
-	// what lets sessions backing up the same new content at once send
-	// it over the wire once. Negative turns claims off: each session
-	// uploads whatever the store lacked when it asked.
-	ClaimWait time.Duration
 	// MaxProtocol caps the protocol version the server will accept in
 	// a Hello (0 means ProtocolVersion). Setting 2 turns off two-phase
 	// dedup ingest and makes the server behave exactly like a
@@ -86,11 +79,6 @@ func DefaultConfig() Config {
 	return Config{Shards: 16, Chunking: spec, BatchSize: 64}
 }
 
-// DefaultClaimWait is the ClaimWait a zero Config gets: several times
-// one healthy round's upload, short enough that a stalled claimer
-// costs its waiters little.
-const DefaultClaimWait = 500 * time.Millisecond
-
 // Server chunks and dedups client streams against one shared sharded
 // store. All exported methods are safe for concurrent use; each
 // connection is one session and sessions run independently. Stream
@@ -128,9 +116,6 @@ func NewServerWithStore(cfg Config, store *shardstore.Store) (*Server, error) {
 	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 64
-	}
-	if cfg.ClaimWait == 0 {
-		cfg.ClaimWait = DefaultClaimWait
 	}
 	s := &Server{
 		cfg:   cfg,
@@ -339,14 +324,14 @@ func (s *Server) serveSession(conn net.Conn, sl *slog.Logger) (byte, error) {
 				_ = bw.Flush()
 				return ver, ferr
 			}
-			name, ctx, derr := decodeBeginDedup(ver, payload)
+			name, ctx, routed, derr := decodeBeginDedup(ver, payload)
 			if derr != nil {
 				_ = writeFrame(bw, MsgError, []byte(derr.Error()))
 				_ = bw.Flush()
 				return ver, derr
 			}
 			sp := s.span("backup_dedup", ctx, obs.Str("recipe", name))
-			err := s.handleDedupBackup(name, ver, br, bw, sl, sp)
+			err := s.handleDedupBackup(name, ver, routed, br, bw, sl, sp)
 			sp.End()
 			if err != nil {
 				return ver, err
@@ -567,7 +552,7 @@ func (s *Server) handleBackup(name string, ver byte, eng chunk.Engine, br *bufio
 // touched) until the Commit turn, whose reply slot carries the error.
 // Protocol violations abort immediately: the connection is
 // desynchronized and draining it could block forever.
-func (s *Server) handleDedupBackup(name string, ver byte, br *bufio.Reader, bw *bufio.Writer, sl *slog.Logger, sp *obs.Span) error {
+func (s *Server) handleDedupBackup(name string, ver byte, routed bool, br *bufio.Reader, bw *bufio.Writer, sl *slog.Logger, sp *obs.Span) error {
 	var st StreamStats
 	var recipe shardstore.Recipe
 	var buf []byte
@@ -584,15 +569,11 @@ func (s *Server) handleDedupBackup(name string, ver byte, br *bufio.Reader, bw *
 	// claims marks the fingerprints this stream was told to upload as
 	// in flight, so concurrent streams wait for these bodies instead
 	// of uploading them too; each round's claims are dropped once its
-	// bodies are stored or abandoned.
-	var claims *shardstore.Claimer
-	if s.cfg.ClaimWait > 0 {
-		claims = s.store.NewClaimer(s.cfg.ClaimWait)
-	}
+	// bodies are stored or abandoned. A routed sub-stream's claimer is
+	// passive: it neither claims nor waits.
+	claims := s.store.NewClaimer(!routed)
 	defer func() {
-		if claims != nil {
-			claims.Drop()
-		}
+		claims.Drop()
 		if !committed && len(applied) > 0 {
 			_, _ = s.store.Release(applied)
 		}
@@ -625,21 +606,14 @@ func (s *Server) handleDedupBackup(name string, ver byte, br *bufio.Reader, bw *
 			if appErr == nil {
 				st.Wire.WireBytes += int64(len(payload))
 				hb := sp.Child("has_batch", obs.Int("chunks", int64(len(hs))))
-				if claims != nil {
-					refs, missing, err = claims.PinBatch(hs, hb)
-				} else {
-					refs, missing, err = s.store.PinBatchTraced(hs, hb)
-				}
-				if err != nil {
+				if refs, missing, err = claims.PinBatch(hs, hb); err != nil {
 					appErr = err
 				}
 				hb.Set(obs.Int("missing", int64(len(missing))))
 				hb.End()
 			}
 			if appErr != nil {
-				if claims != nil {
-					claims.Drop()
-				}
+				claims.Drop()
 				// Draining: tell the client we need nothing so it keeps
 				// its bodies and reaches Commit, where the error waits.
 				if err := writeFrame(bw, MsgNeedBatch, nil); err != nil {
@@ -752,9 +726,7 @@ func (s *Server) handleDedupBackup(name string, ver byte, br *bufio.Reader, bw *
 					appErr = err
 				}
 			}
-			if claims != nil {
-				claims.Drop()
-			}
+			claims.Drop()
 			if appErr == nil {
 				// The recipe is content-addressed: the round's
 				// fingerprints in stream order, pinned and uploaded alike.

@@ -62,35 +62,35 @@ func TestLegacyHelloByteIdentity(t *testing.T) {
 func TestBeginDedupCtxRoundTrip(t *testing.T) {
 	ctx := testCtx()
 
-	// v3: bare name both ways, context never rides.
-	if got := encodeBeginDedup(3, "snap", ctx); string(got) != "snap" {
+	// v3: bare name both ways, neither context nor routed mark rides.
+	if got := encodeBeginDedup(3, "snap", ctx, true); string(got) != "snap" {
 		t.Errorf("v3 begin-dedup payload = %x, want bare name", got)
 	}
-	name, gotCtx, err := decodeBeginDedup(3, []byte("snap"))
-	if err != nil || name != "snap" || gotCtx.Valid() {
-		t.Fatalf("v3 decode = %q %+v %v", name, gotCtx, err)
+	name, gotCtx, routed, err := decodeBeginDedup(3, []byte("snap"))
+	if err != nil || name != "snap" || gotCtx.Valid() || routed {
+		t.Fatalf("v3 decode = %q %+v %v %v", name, gotCtx, routed, err)
 	}
 
-	// v4 traced.
-	name, gotCtx, err = decodeBeginDedup(4, encodeBeginDedup(4, "snap", ctx))
-	if err != nil || name != "snap" || gotCtx != ctx {
-		t.Fatalf("v4 traced decode = %q %+v %v", name, gotCtx, err)
-	}
-	// v4 untraced.
-	name, gotCtx, err = decodeBeginDedup(4, encodeBeginDedup(4, "snap", obs.SpanContext{}))
-	if err != nil || name != "snap" || gotCtx.Valid() {
-		t.Fatalf("v4 untraced decode = %q %+v %v", name, gotCtx, err)
+	// v4: traced or not, routed or not.
+	for _, tc := range []struct {
+		ctx    obs.SpanContext
+		routed bool
+	}{{ctx, false}, {obs.SpanContext{}, false}, {ctx, true}, {obs.SpanContext{}, true}} {
+		name, gotCtx, routed, err = decodeBeginDedup(4, encodeBeginDedup(4, "snap", tc.ctx, tc.routed))
+		if err != nil || name != "snap" || gotCtx != tc.ctx || routed != tc.routed {
+			t.Fatalf("v4 decode of %+v = %q %+v %v %v", tc, name, gotCtx, routed, err)
+		}
 	}
 
 	// Malformed v4 payloads fail typed, not silently.
-	if _, _, err := decodeBeginDedup(4, nil); err == nil {
+	if _, _, _, err := decodeBeginDedup(4, nil); err == nil {
 		t.Error("empty v4 payload decoded")
 	}
-	if _, _, err := decodeBeginDedup(4, []byte{1, 0xab}); err == nil {
+	if _, _, _, err := decodeBeginDedup(4, []byte{1, 0xab}); err == nil {
 		t.Error("truncated trace context decoded")
 	}
-	if _, _, err := decodeBeginDedup(4, []byte{7, 'x'}); err == nil {
-		t.Error("unknown trace flag decoded")
+	if _, _, _, err := decodeBeginDedup(4, []byte{7, 'x'}); err == nil {
+		t.Error("unknown flag decoded")
 	}
 }
 

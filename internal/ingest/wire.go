@@ -46,9 +46,11 @@ func DecodeHello(p []byte) (byte, chunk.Spec, obs.SpanContext, error) {
 
 // DecodeBeginDedup parses a MsgBeginDedup payload for the session's
 // negotiated version: the stream name, plus the client's trace context
-// on a traced v4 payload.
+// on a traced v4 payload. The routed mark, which only a router sets on
+// its own sub-streams, is not reported.
 func DecodeBeginDedup(version byte, p []byte) (string, obs.SpanContext, error) {
-	return decodeBeginDedup(version, p)
+	name, ctx, _, err := decodeBeginDedup(version, p)
+	return name, ctx, err
 }
 
 // DecodeHasBatchPayload parses a MsgHasBatch payload into its

@@ -30,7 +30,7 @@ func TestMissingSurvivesRestart(t *testing.T) {
 	if _, _, err := store.PutBatch(chunks[:12]); err != nil {
 		t.Fatal(err)
 	}
-	if _, missing, err := store.PinBatch(hs[:12]); err != nil || len(missing) != 0 {
+	if _, missing, err := store.NewClaimer(false).PinBatch(hs[:12], nil); err != nil || len(missing) != 0 {
 		t.Fatalf("pin: %v, missing %v", err, missing)
 	}
 	wantMissing := store.Missing(hs)

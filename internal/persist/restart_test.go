@@ -243,7 +243,7 @@ func TestDeleteRestartReingest(t *testing.T) {
 
 	// PinBatch's missing set matches Missing (and its pins are real:
 	// undo them via a delete of the recipe we then commit).
-	_, pinMissing, err := store.PinBatch(all)
+	_, pinMissing, err := store.NewClaimer(false).PinBatch(all, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,13 @@ func pinAsync(c *Claimer, hs []Hash) <-chan pinResult {
 	return out
 }
 
+// testClaimer is an active claimer with its wait budget set to wait.
+func testClaimer(s *Store, wait time.Duration) *Claimer {
+	c := s.NewClaimer(true)
+	c.wait = wait
+	return c
+}
+
 // stillWaiting fails the test if the asynchronous PinBatch has already
 // answered: it must be blocked on another claimer's upload.
 func stillWaiting(t *testing.T, ch <-chan pinResult) {
@@ -45,7 +52,7 @@ func TestClaimWaitsForInFlightUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 	chunks, hs := testChunks(8)
-	a, b := s.NewClaimer(time.Minute), s.NewClaimer(time.Minute)
+	a, b := testClaimer(s, time.Minute), testClaimer(s, time.Minute)
 	_, missing, err := a.PinBatch(hs, nil)
 	if err != nil || len(missing) != len(hs) {
 		t.Fatalf("first claimer: missing %v, err %v", missing, err)
@@ -84,7 +91,7 @@ func TestClaimHandOffOnDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	chunks, hs := testChunks(4)
-	a, b := s.NewClaimer(time.Minute), s.NewClaimer(time.Minute)
+	a, b := testClaimer(s, time.Minute), testClaimer(s, time.Minute)
 	if _, _, err := a.PinBatch(hs, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +102,7 @@ func TestClaimHandOffOnDrop(t *testing.T) {
 	if r.err != nil || !reflect.DeepEqual(r.missing, []int{0, 1, 2, 3}) {
 		t.Fatalf("after the claimer dropped: missing %v, err %v; want all four", r.missing, r.err)
 	}
-	c := s.NewClaimer(time.Minute)
+	c := testClaimer(s, time.Minute)
 	chC := pinAsync(c, hs)
 	stillWaiting(t, chC)
 	if _, _, err := s.PutHashedBatch(hs, chunks); err != nil {
@@ -112,20 +119,21 @@ func TestClaimHandOffOnDrop(t *testing.T) {
 	}
 }
 
-// TestClaimWaitTimeout: a claimer that never uploads costs its waiters
-// at most their wait limit, after which they are told to upload the
-// chunk themselves — and the stalled claim stays its owner's.
+// TestClaimWaitTimeout: a claimer that never uploads costs a waiter's
+// batch at most its wait budget, in total however many of the batch's
+// fingerprints it holds, after which the waiter is told to upload them
+// itself — and the stalled claims stay their owner's.
 func TestClaimWaitTimeout(t *testing.T) {
 	s, err := New(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, hs := testChunks(3)
-	a := s.NewClaimer(time.Minute)
-	if _, _, err := a.PinBatch(hs[:1], nil); err != nil {
+	a := testClaimer(s, time.Minute)
+	if _, _, err := a.PinBatch(hs[:2], nil); err != nil {
 		t.Fatal(err)
 	}
-	b := s.NewClaimer(10 * time.Millisecond)
+	b := testClaimer(s, 10*time.Millisecond)
 	_, missing, err := b.PinBatch(hs, nil)
 	if err != nil || !reflect.DeepEqual(missing, []int{0, 1, 2}) {
 		t.Fatalf("missing %v, err %v; want all three", missing, err)
@@ -133,8 +141,10 @@ func TestClaimWaitTimeout(t *testing.T) {
 	if w, to := s.claimWaits.Load(), s.claimTimeouts.Load(); w != 1 || to != 1 {
 		t.Fatalf("claim waits %d / timeouts %d, want 1 / 1", w, to)
 	}
-	if cl := s.shardFor(hs[0]).claims[hs[0]]; cl == nil || cl.owner != a {
-		t.Fatal("the timed-out waiter took over a claim it never got")
+	for _, h := range hs[:2] {
+		if cl := s.shardFor(h).claims[h]; cl == nil || cl.owner != a {
+			t.Fatal("the timed-out waiter took over a claim it never got")
+		}
 	}
 	a.Drop()
 	b.Drop()
@@ -142,6 +152,38 @@ func TestClaimWaitTimeout(t *testing.T) {
 		if len(sh.claims) != 0 {
 			t.Fatalf("shard %d keeps %d claims after every claimer dropped", sh.idx, len(sh.claims))
 		}
+	}
+}
+
+// TestPassiveClaimer: a passive claimer (a routed sub-stream's) pins
+// what is present and reports the rest missing at once — it neither
+// waits on another claimer's in-flight upload nor claims anything.
+func TestPassiveClaimer(t *testing.T) {
+	s, err := New(4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, hs := testChunks(4)
+	if _, _, err := s.PutHashedBatch(hs[:1], chunks[:1]); err != nil {
+		t.Fatal(err)
+	}
+	a := testClaimer(s, time.Minute)
+	if _, _, err := a.PinBatch(hs[1:3], nil); err != nil {
+		t.Fatal(err)
+	}
+	p := s.NewClaimer(false)
+	refs, missing, err := p.PinBatch(hs, nil)
+	if err != nil || !reflect.DeepEqual(missing, []int{1, 2, 3}) {
+		t.Fatalf("missing %v, err %v; want [1 2 3]", missing, err)
+	}
+	if refs[0].Length != int64(len(chunks[0])) || s.Refcount(hs[0]) != 2 {
+		t.Fatalf("present chunk not pinned: ref %+v, refcount %d", refs[0], s.Refcount(hs[0]))
+	}
+	if w := s.claimWaits.Load(); w != 0 || len(p.held) != 0 {
+		t.Fatalf("passive claimer waited %d times and took %d claims", w, len(p.held))
+	}
+	if cl := s.shardFor(hs[3]).claims[hs[3]]; cl != nil {
+		t.Fatal("passive claimer claimed a missing fingerprint")
 	}
 }
 
@@ -154,7 +196,7 @@ func TestClaimRepeatInBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, hs := testChunks(2)
-	c := s.NewClaimer(time.Minute)
+	c := testClaimer(s, time.Minute)
 	_, missing, err := c.PinBatch([]Hash{hs[0], hs[1], hs[0]}, nil)
 	if err != nil || !reflect.DeepEqual(missing, []int{0, 1, 2}) {
 		t.Fatalf("missing %v, err %v; want [0 1 2]", missing, err)
@@ -184,7 +226,7 @@ func TestClaimRoundsNoDeadlock(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			c := s.NewClaimer(5 * time.Second)
+			c := testClaimer(s, 5*time.Second)
 			for r := 0; r < rounds; r++ {
 				idx := rng.Perm(len(hs))[:2*per]
 				batch := make([]Hash, len(idx))

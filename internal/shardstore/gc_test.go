@@ -347,7 +347,7 @@ func TestPinBlocksDelete(t *testing.T) {
 	h := dedup.Sum(body)
 	ingestNamed(t, s, "old", [][]byte{body})
 	// A concurrent dedup stream pins before the delete lands.
-	if _, missing, err := s.PinBatch([]Hash{h}); err != nil || len(missing) != 0 {
+	if _, missing, err := s.NewClaimer(false).PinBatch([]Hash{h}, nil); err != nil || len(missing) != 0 {
 		t.Fatalf("pin: %v, missing %v", err, missing)
 	}
 	if _, err := s.DeleteRecipe("old"); err != nil {

@@ -80,7 +80,7 @@ func TestPinBatch(t *testing.T) {
 	}
 	before := s.Stats()
 
-	refs, missing, err := s.PinBatch(hs)
+	refs, missing, err := s.NewClaimer(false).PinBatch(hs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestPinBatchMatchesPutClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Round 1: nothing present, upload all.
-	refs, missing, err := s.PinBatch(hs)
+	refs, missing, err := s.NewClaimer(false).PinBatch(hs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestPinBatchMatchesPutClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Round 2: everything pins.
-	refs, missing, err = s.PinBatch(hs)
+	refs, missing, err = s.NewClaimer(false).PinBatch(hs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,8 @@ func TestPinBatchMatchesPutClassification(t *testing.T) {
 }
 
 // TestPutHashedBatchValidates: mismatched lengths are rejected; the
-// hashed batch classifies identically to PutBatch.
+// hashed batch classifies identically to PutBatch, and a repeated
+// upload dedups against the first.
 func TestPutHashedBatchValidates(t *testing.T) {
 	s, err := New(2, 0)
 	if err != nil {
@@ -191,6 +192,22 @@ func TestPutHashedBatchValidates(t *testing.T) {
 	}
 	if !reflect.DeepEqual(refs1, refs2) || !reflect.DeepEqual(dup1, dup2) {
 		t.Fatal("PutHashedBatch classification differs from PutBatch")
+	}
+	// A second upload of the same bodies — two sessions both told a
+	// chunk was missing — collides: every chunk is a duplicate of the
+	// first copy, referenced twice and stored once.
+	refs3, dup3, err := s.PutHashedBatch(hs, chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range hs {
+		if !dup3[i] || refs3[i] != refs1[i] || s.Refcount(hs[i]) != 2 {
+			t.Fatalf("re-upload %d: dup %v, ref %+v (first %+v), refcount %d",
+				i, dup3[i], refs3[i], refs1[i], s.Refcount(hs[i]))
+		}
+	}
+	if st := s.Stats(); st.UniqueChunks != int64(len(hs)) || st.Chunks != int64(2*len(hs)) {
+		t.Fatalf("stats after re-upload %+v, want %d unique of %d", st, len(hs), 2*len(hs))
 	}
 }
 
@@ -221,7 +238,7 @@ func TestConcurrentPinAndPut(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			refs, missing, err := s.PinBatch(hs)
+			refs, missing, err := s.NewClaimer(false).PinBatch(hs, nil)
 			if err != nil {
 				t.Error(err)
 				return

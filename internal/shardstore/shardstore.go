@@ -362,7 +362,8 @@ func (s *Store) HasBatch(hs []Hash) []bool {
 // ascending indices into hs of the fingerprints the store has no chunk
 // for. It is read-only and racy by nature — a fingerprint reported
 // missing may be inserted by a concurrent session a microsecond later
-// — so the ingest protocol's missing-set answer uses PinBatch instead.
+// — so the ingest protocol's missing-set answer uses Claimer.PinBatch
+// instead.
 func (s *Store) Missing(hs []Hash) []int {
 	if h := s.missingSeconds; h != nil {
 		defer h.ObserveSince(time.Now())
@@ -375,30 +376,6 @@ func (s *Store) Missing(hs []Hash) []int {
 		}
 	}
 	return missing
-}
-
-// PinBatch answers a batched Matching query while taking one reference
-// on every fingerprint it answers "present" for, under that shard's
-// stripe lock and journaled like any duplicate hit. This is the
-// primitive behind the ingest protocol's HasBatch (through a Claimer,
-// which adds in-flight upload claims): by the time the
-// server tells a client to skip a chunk body, the stream's reference
-// is already counted, so no concurrent reclaim — DeleteRecipe or the
-// compactor — can free the chunk between the answer and the stream's
-// recipe commit. Present fingerprints get their Ref in refs and are
-// accounted exactly like a duplicate Put; absent ones come back as
-// ascending indices in missing with a zero Ref. On a backing error the
-// batch stops early: pins already applied stay applied (and accounted).
-func (s *Store) PinBatch(hs []Hash) (refs []Ref, missing []int, err error) {
-	return s.PinBatchTraced(hs, nil)
-}
-
-// PinBatchTraced is PinBatch attributed to a span: the backing's WAL
-// appends and fsyncs for the pins become children of sp, and the
-// latency observation carries sp's trace as its bucket exemplar. A nil
-// sp is exactly PinBatch.
-func (s *Store) PinBatchTraced(hs []Hash, sp *obs.Span) (refs []Ref, missing []int, err error) {
-	return s.pinBatch(nil, hs, sp)
 }
 
 // PutBatch stores a batch of chunks in order, grouping the inserts by
@@ -973,7 +950,7 @@ func (s *Store) indexEntries() int64 {
 }
 
 // Instrument registers the store's metric families on reg and arms the
-// hot-path Missing/PinBatch latency histogram. Everything except that
+// hot-path Missing/Claimer.PinBatch latency histogram. Everything except that
 // histogram is evaluated at scrape time from state the store maintains
 // anyway, so instrumentation costs ingest nothing. Call once, before
 // the store serves traffic; a nil registry is a no-op.
