@@ -113,8 +113,11 @@ func (s *diskShard) Recover(fn func(h shardstore.Hash, ref shardstore.Ref, refco
 		return err
 	}
 
-	index := make(map[shardstore.Hash]shardstore.Ref)
-	refcount := make(map[shardstore.Hash]int64)
+	type entry struct { // one replayed index entry
+		ref shardstore.Ref
+		rc  int64
+	}
+	index := make(map[shardstore.Hash]entry)
 	// watermarks[i] is the highest journaled byte of container i; bytes
 	// past it were written but never made it into the surviving WAL
 	// prefix, so they are cut off below.
@@ -171,8 +174,7 @@ func (s *diskShard) Recover(fn func(h shardstore.Hash, ref shardstore.Ref, refco
 			if _, dup := index[h]; dup {
 				return errTornRecord
 			}
-			index[h] = shardstore.Ref{Shard: s.id, Container: ci, Offset: off, Length: length}
-			refcount[h] = 1
+			index[h] = entry{shardstore.Ref{Shard: s.id, Container: ci, Offset: off, Length: length}, 1}
 			if off+length > watermarks[ci] {
 				watermarks[ci] = off + length
 			}
@@ -181,23 +183,24 @@ func (s *diskShard) Recover(fn func(h shardstore.Hash, ref shardstore.Ref, refco
 			if derr != nil {
 				return errTornRecord
 			}
-			if _, ok := index[h]; !ok {
+			e, ok := index[h]
+			if !ok {
 				return errTornRecord
 			}
-			refcount[h] += delta
-			if refcount[h] < 1 {
+			if e.rc += delta; e.rc < 1 {
 				// A delete released the entry; the bytes stay until
 				// compaction reclaims them.
 				delete(index, h)
-				delete(refcount, h)
+			} else {
+				index[h] = e
 			}
 		case recRelocate:
 			h, ci, off, length, derr := decodeRelocate(body)
 			if derr != nil {
 				return errTornRecord
 			}
-			ref, ok := index[h]
-			if !ok || ref.Length != length {
+			e, ok := index[h]
+			if !ok || e.ref.Length != length {
 				return errTornRecord
 			}
 			if !validate(h, ci, off, length) {
@@ -210,7 +213,8 @@ func (s *diskShard) Recover(fn func(h shardstore.Hash, ref shardstore.Ref, refco
 				// happens after a checkpoint that survives replay.
 				return errTornRecord
 			}
-			index[h] = shardstore.Ref{Shard: s.id, Container: ci, Offset: off, Length: length}
+			e.ref.Container, e.ref.Offset = ci, off
+			index[h] = e
 			if off+length > watermarks[ci] {
 				watermarks[ci] = off + length
 			}
@@ -237,9 +241,9 @@ func (s *diskShard) Recover(fn func(h shardstore.Hash, ref shardstore.Ref, refco
 		}
 	}
 	s.present = make(map[shardstore.Hash]struct{}, len(index))
-	for h, ref := range index {
+	for h, e := range index {
 		s.present[h] = struct{}{}
-		if err := fn(h, ref, refcount[h]); err != nil {
+		if err := fn(h, e.ref, e.rc); err != nil {
 			return err
 		}
 	}

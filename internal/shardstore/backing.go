@@ -2,11 +2,11 @@ package shardstore
 
 // Backing is the pluggable storage layer behind a Store: it owns the
 // chunk bytes (container packing) and whatever durability machinery the
-// implementation provides. The Store keeps the fingerprint index and
-// reference counts in memory in front of it; a durable backing
-// (internal/persist) journals every index mutation to a write-ahead log
-// so Open can hand the maps back after a restart, while MemoryBacking
-// journals nothing and recovers nothing.
+// implementation provides. The Store keeps the fingerprint index (one
+// entry per chunk: its Ref and reference count) in memory in front of
+// it; a durable backing (internal/persist) journals every index mutation
+// to a write-ahead log so Open can hand the entries back after a
+// restart, while MemoryBacking journals nothing and recovers nothing.
 //
 // A Backing is used by exactly one Store. The Store serializes all
 // calls to one ShardBacking behind that shard's stripe lock, but

@@ -225,14 +225,15 @@ func (sh *shard) pin(c *Claimer, mayWait bool, hs []Hash, idxs []int, refs []Ref
 	for ; n < len(idxs); n++ {
 		i := idxs[n]
 		h := hs[i]
-		if ref, ok := sh.index[h]; ok {
+		if e, ok := sh.index[h]; ok {
 			if err := sh.back.LogRefDelta(h, 1); err != nil {
 				return n, nil, err
 			}
-			sh.refcount[h]++
-			refs[i], found[i] = ref, true
+			e.rc++
+			sh.index[h] = e
+			refs[i], found[i] = e.ref, true
 			t.chunks++
-			t.logical += ref.Length
+			t.logical += e.ref.Length
 			pinned = true
 			continue
 		}

@@ -216,7 +216,13 @@ func TestCompactMemoryReclaims(t *testing.T) {
 		drop = append(drop, dedup.Sum(c))
 	}
 	fill = Recipe{dedup.Sum(chunk256("fill", 0))}
-	for name, r := range map[string]Recipe{"keep": keep, "drop": drop, "fill": fill} {
+	// k4 sits in a container compaction will empty; a second recipe
+	// holds it too, so its entry moves with a count of 2.
+	shared := keep[4]
+	if _, _, err := s.Put(keepChunks[4]); err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]Recipe{"keep": keep, "keep2": {shared}, "drop": drop, "fill": fill} {
 		if err := s.CommitRecipe(name, r); err != nil {
 			t.Fatal(err)
 		}
@@ -228,6 +234,7 @@ func TestCompactMemoryReclaims(t *testing.T) {
 		t.Fatal(err)
 	}
 	statsBefore := s.Stats()
+	sharedBefore, _ := s.Has(shared)
 	cs, err := s.Compact(0.9)
 	if err != nil {
 		t.Fatal(err)
@@ -237,6 +244,18 @@ func TestCompactMemoryReclaims(t *testing.T) {
 	}
 	if s.Stats() != statsBefore {
 		t.Fatalf("compaction changed stats: %+v != %+v", s.Stats(), statsBefore)
+	}
+	// Stats are atomics compaction never touches; the entries themselves
+	// must keep their counts and live bytes across the move.
+	if sharedAfter, _ := s.Has(shared); sharedAfter.Container == sharedBefore.Container {
+		t.Fatalf("shared chunk was not relocated: %+v", sharedAfter)
+	}
+	if rc := s.Refcount(shared); rc != 2 {
+		t.Fatalf("relocated shared chunk has refcount %d, want 2", rc)
+	}
+	_, liveBytes, _ := s.ContainerUsage()
+	if want := int64(len(keepData) + len(chunk256("fill", 0))); liveBytes != want {
+		t.Fatalf("live container bytes %d after compaction, want %d (kept chunks)", liveBytes, want)
 	}
 	// Container slots are stable (dropped ones keep their number; the
 	// re-packed bytes may have rolled new slots at the end).

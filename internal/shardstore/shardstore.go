@@ -70,13 +70,6 @@ const MaxShards = 1024
 // name the store has no recipe for.
 var ErrUnknownRecipe = errors.New("shardstore: unknown recipe")
 
-// loc is a physical location within one shard, the reverse-index key
-// mapping a container slot back to the fingerprint stored there.
-type loc struct {
-	container int
-	offset    int64
-}
-
 // spanSink is implemented by backings that can attribute their I/O
 // (WAL appends, fsyncs, recipe-journal writes) to the span of the
 // request being served. The store installs the active span before
@@ -88,20 +81,25 @@ type spanSink interface {
 	SetSpan(*obs.Span)
 }
 
+// entry is one stored chunk's index entry: where its bytes live and how
+// many references (recipe entries and pins) hold it.
+type entry struct {
+	ref Ref
+	rc  int64
+}
+
 // shard is one stripe of the store. All fields but the immutable idx,
 // back and sink handles are guarded by mu.
 type shard struct {
-	mu       sync.RWMutex
-	idx      int // this shard's position in Store.shards
-	back     ShardBacking
-	sink     spanSink // back as a spanSink, nil when unsupported
-	index    map[Hash]Ref
-	refcount map[Hash]int64
-	// live tracks the live (index-referenced) bytes per container, the
-	// signal the compactor picks victims by; byLoc is the reverse index
-	// from location to fingerprint, maintained on insert/relocate/drop.
+	mu   sync.RWMutex
+	idx  int // this shard's position in Store.shards
+	back ShardBacking
+	sink spanSink // back as a spanSink, nil when unsupported
+	// index holds one entry per stored fingerprint; live tracks the live
+	// (index-referenced) bytes per container, the signal the compactor
+	// picks victims by.
+	index map[Hash]entry
 	live  map[int]int64
-	byLoc map[loc]Hash
 	// claims holds the in-flight uploads of fingerprints the index
 	// lacks (see Claimer); an insert resolves its fingerprint's claim.
 	claims map[Hash]*claim
@@ -181,13 +179,11 @@ func Open(b Backing) (*Store, error) {
 	s := &Store{backing: b, shards: make([]*shard, n), mask: uint32(n - 1)}
 	for i := range s.shards {
 		sh := &shard{
-			idx:      i,
-			back:     b.Shard(i),
-			index:    make(map[Hash]Ref),
-			refcount: make(map[Hash]int64),
-			live:     make(map[int]int64),
-			byLoc:    make(map[loc]Hash),
-			claims:   make(map[Hash]*claim),
+			idx:    i,
+			back:   b.Shard(i),
+			index:  make(map[Hash]entry),
+			live:   make(map[int]int64),
+			claims: make(map[Hash]*claim),
 		}
 		sh.sink, _ = sh.back.(spanSink)
 		err := sh.back.Recover(func(h Hash, ref Ref, rc int64) error {
@@ -195,10 +191,8 @@ func Open(b Backing) (*Store, error) {
 				return fmt.Errorf("shardstore: shard %d recovered refcount %d for %x", i, rc, h[:8])
 			}
 			ref.Shard = i
-			sh.index[h] = ref
-			sh.refcount[h] = rc
+			sh.index[h] = entry{ref: ref, rc: rc}
 			sh.live[ref.Container] += ref.Length
-			sh.byLoc[loc{ref.Container, ref.Offset}] = h
 			// Every counter is derivable from the recovered entries: one
 			// unique insert plus rc-1 duplicate hits of ref.Length bytes.
 			s.unique.Add(1)
@@ -294,22 +288,21 @@ func (s *Store) account(n int64, dup bool) {
 
 // put is the single-shard insert; the caller holds sh.mu.
 func (sh *shard) put(h Hash, data []byte) (Ref, bool, error) {
-	if ref, ok := sh.index[h]; ok {
+	if e, ok := sh.index[h]; ok {
 		if err := sh.back.LogRefDelta(h, 1); err != nil {
 			return Ref{}, false, err
 		}
-		sh.refcount[h]++
-		return ref, true, nil
+		e.rc++
+		sh.index[h] = e
+		return e.ref, true, nil
 	}
 	ci, off, err := sh.back.Append(h, data)
 	if err != nil {
 		return Ref{}, false, err
 	}
 	ref := Ref{Shard: sh.idx, Container: ci, Offset: off, Length: int64(len(data))}
-	sh.index[h] = ref
-	sh.refcount[h] = 1
+	sh.index[h] = entry{ref: ref, rc: 1}
 	sh.live[ci] += ref.Length
-	sh.byLoc[loc{ci, off}] = h
 	if cl, ok := sh.claims[h]; ok {
 		delete(sh.claims, h)
 		close(cl.done)
@@ -317,18 +310,16 @@ func (sh *shard) put(h Hash, data []byte) (Ref, bool, error) {
 	return ref, false, nil
 }
 
-// release drops one reference from h; at zero the entry leaves the
-// index (its bytes stay in the container until compaction). The caller
-// holds sh.mu and has already journaled the decrement.
-func (sh *shard) release(h Hash, ref Ref) (freed bool) {
-	sh.refcount[h]--
-	if sh.refcount[h] > 0 {
+// release drops one reference from h's entry e, as the caller looked it
+// up; at zero the entry leaves the index (its bytes stay until
+// compaction). The caller holds sh.mu and has journaled the decrement.
+func (sh *shard) release(h Hash, e entry) (freed bool) {
+	if e.rc--; e.rc > 0 {
+		sh.index[h] = e
 		return false
 	}
 	delete(sh.index, h)
-	delete(sh.refcount, h)
-	delete(sh.byLoc, loc{ref.Container, ref.Offset})
-	sh.live[ref.Container] -= ref.Length
+	sh.live[e.ref.Container] -= e.ref.Length
 	sh.back.Forget(h)
 	return true
 }
@@ -338,9 +329,9 @@ func (sh *shard) release(h Hash, ref Ref) (freed bool) {
 func (s *Store) Has(h Hash) (Ref, bool) {
 	sh := s.shardFor(h)
 	sh.mu.RLock()
-	ref, ok := sh.index[h]
+	e, ok := sh.index[h]
 	sh.mu.RUnlock()
-	return ref, ok
+	return e.ref, ok
 }
 
 // HasBatch answers one Matching query per fingerprint, grouping the
@@ -454,18 +445,19 @@ func (s *Store) PutHashedBatchTraced(hs []Hash, chunks [][]byte, sp *obs.Span) (
 }
 
 // byShard partitions hash indices by destination shard and invokes fn
-// once per non-empty shard, preserving input order within each group.
-// It stops at the first error.
+// once per non-empty shard, in ascending shard order and preserving
+// input order within each group. It stops at the first error, so which
+// shards a failed batch already applied is the same on every run.
 func (s *Store) byShard(hs []Hash, fn func(sh *shard, idxs []int) error) error {
-	if len(hs) == 0 {
-		return nil
-	}
-	groups := make(map[uint32][]int, len(s.shards))
+	groups := make([][]int, len(s.shards))
 	for i, h := range hs {
-		si := binary.BigEndian.Uint32(h[:4]) & s.mask
+		si := s.shardFor(h).idx
 		groups[si] = append(groups[si], i)
 	}
 	for si, idxs := range groups {
+		if len(idxs) == 0 {
+			continue
+		}
 		if err := fn(s.shards[si], idxs); err != nil {
 			return err
 		}
@@ -496,11 +488,11 @@ func (s *Store) GetByHash(h Hash) (data []byte, ok bool, err error) {
 	sh := s.shardFor(h)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	ref, ok := sh.index[h]
+	e, ok := sh.index[h]
 	if !ok {
 		return nil, false, nil
 	}
-	data, err = sh.back.Read(ref.Container, ref.Offset, ref.Length)
+	data, err = sh.back.Read(e.ref.Container, e.ref.Offset, e.ref.Length)
 	return data, true, err
 }
 
@@ -535,7 +527,7 @@ func (s *Store) Containers() int {
 func (s *Store) Refcount(h Hash) int64 {
 	sh := s.shardFor(h)
 	sh.mu.RLock()
-	n := sh.refcount[h]
+	n := sh.index[h].rc
 	sh.mu.RUnlock()
 	return n
 }
@@ -688,7 +680,7 @@ func (s *Store) releaseRefs(r Recipe, sp *obs.Span) (DeleteStats, error) {
 		touched := false
 		for _, i := range idxs {
 			h := r[i]
-			ref, ok := sh.index[h]
+			e, ok := sh.index[h]
 			if !ok {
 				// A recipe entry with no live chunk: only possible after a
 				// torn-tail recovery already lost the insert. Nothing to
@@ -701,12 +693,12 @@ func (s *Store) releaseRefs(r Recipe, sp *obs.Span) (DeleteStats, error) {
 			touched = true
 			ds.ChunksReleased++
 			chunksN++
-			logical += ref.Length
-			if sh.release(h, ref) {
+			logical += e.ref.Length
+			if sh.release(h, e) {
 				ds.ChunksFreed++
-				ds.BytesFreed += ref.Length
+				ds.BytesFreed += e.ref.Length
 				uniques++
-				stored += ref.Length
+				stored += e.ref.Length
 			} else {
 				hitsN++
 			}
@@ -828,14 +820,14 @@ func (s *Store) compactShard(sh *shard, threshold float64, sp *obs.Span) (Compac
 		defer sh.setSpan(nil)
 	}
 	// Re-pack every surviving chunk of the victim containers into the
-	// open container, updating the index as we go. Relocate journals
-	// each move, so a crash before the checkpoint replays them (and a
-	// torn move is simply dropped — the old container still exists).
-	for h, ref := range sh.index {
-		if !victimSet[ref.Container] {
+	// open container; a move rewrites the entry's location and keeps its
+	// count. Relocate journals each move, so a crash before the checkpoint
+	// replays them (a torn move is dropped: the old container survives).
+	for h, e := range sh.index {
+		if !victimSet[e.ref.Container] {
 			continue
 		}
-		data, err := sh.back.Read(ref.Container, ref.Offset, ref.Length)
+		data, err := sh.back.Read(e.ref.Container, e.ref.Offset, e.ref.Length)
 		if err != nil {
 			return cs, err
 		}
@@ -843,17 +835,15 @@ func (s *Store) compactShard(sh *shard, threshold float64, sp *obs.Span) (Compac
 		if err != nil {
 			return cs, err
 		}
-		delete(sh.byLoc, loc{ref.Container, ref.Offset})
-		sh.live[ref.Container] -= ref.Length
-		newRef := Ref{Shard: sh.idx, Container: ci, Offset: off, Length: ref.Length}
-		sh.index[h] = newRef
-		sh.byLoc[loc{ci, off}] = h
-		sh.live[ci] += ref.Length
-		cs.MovedBytes += ref.Length
+		sh.live[e.ref.Container] -= e.ref.Length
+		sh.live[ci] += e.ref.Length
+		cs.MovedBytes += e.ref.Length
+		e.ref.Container, e.ref.Offset = ci, off
+		sh.index[h] = e
 	}
 	live := make([]CheckpointEntry, 0, len(sh.index))
-	for h, ref := range sh.index {
-		live = append(live, CheckpointEntry{Hash: h, Ref: ref, Refcount: sh.refcount[h]})
+	for h, e := range sh.index {
+		live = append(live, CheckpointEntry{Hash: h, Ref: e.ref, Refcount: e.rc})
 	}
 	if err := sh.back.Checkpoint(live, victims); err != nil {
 		return cs, err
@@ -937,8 +927,8 @@ func (s *Store) ContainerUsage() (containers int, liveBytes, totalBytes int64) {
 	return containers, liveBytes, totalBytes
 }
 
-// indexEntries counts live index entries (== refcount map entries)
-// across all shards.
+// indexEntries counts live index entries (one per unique chunk) across
+// all shards.
 func (s *Store) indexEntries() int64 {
 	var n int64
 	for _, sh := range s.shards {
@@ -989,7 +979,7 @@ func (s *Store) Instrument(reg *obs.Registry) {
 		"Unique bytes the index references.",
 		func() float64 { return float64(s.stored.Load()) })
 	reg.GaugeFunc("shardstore_index_entries",
-		"Live fingerprint index entries (equals refcount-map entries) across all shards.",
+		"Live fingerprint index entries (one per unique chunk) across all shards.",
 		func() float64 { return float64(s.indexEntries()) })
 	reg.GaugeFunc("shardstore_recipes",
 		"Recorded stream recipes.",

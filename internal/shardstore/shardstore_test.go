@@ -2,6 +2,7 @@ package shardstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -175,6 +176,70 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 	if present[len(present)-1] {
 		t.Fatal("HasBatch reported a never-stored hash as present")
+	}
+}
+
+// failAppend is a shard backing whose every Append fails.
+type failAppend struct{ ShardBacking }
+
+var errInjectedAppend = errors.New("injected append failure")
+
+func (failAppend) Append(Hash, []byte) (int, int64, error) {
+	return 0, 0, errInjectedAppend
+}
+
+// faultBacking is a MemoryBacking whose shard fail rejects every Append.
+type faultBacking struct {
+	*MemoryBacking
+	fail int
+}
+
+func (b faultBacking) Shard(i int) ShardBacking {
+	if i == b.fail {
+		return failAppend{b.MemoryBacking.Shard(i)}
+	}
+	return b.MemoryBacking.Shard(i)
+}
+
+// TestBatchErrorStopsInShardOrder: a batch visits shards in ascending
+// order and stops at the first backing error, so which chunks stay
+// applied is the same on every run — every shard before the failing
+// one, none after it.
+func TestBatchErrorStopsInShardOrder(t *testing.T) {
+	chunks, hs := testChunks(64)
+	for run := 0; run < 10; run++ {
+		mb, err := NewMemoryBacking(4, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(faultBacking{mb, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.PutHashedBatch(hs, chunks); !errors.Is(err, errInjectedAppend) {
+			t.Fatalf("run %d: batch error %v, want the injected failure", run, err)
+		}
+		var perShard [4]int
+		var applied int64
+		for i, h := range hs {
+			si := s.shardFor(h).idx
+			perShard[si]++
+			_, ok := s.Has(h)
+			if want := si < 2; ok != want {
+				t.Fatalf("run %d: chunk %d on shard %d present=%v, want %v", run, i, si, ok, want)
+			}
+			if ok {
+				applied++
+			}
+		}
+		for si, n := range perShard {
+			if n == 0 {
+				t.Fatalf("no chunk maps to shard %d; the batch does not exercise it", si)
+			}
+		}
+		if got := s.Stats().UniqueChunks; got != applied {
+			t.Fatalf("run %d: stats count %d unique chunks, %d are applied", run, got, applied)
+		}
 	}
 }
 
